@@ -27,7 +27,7 @@ main()
         "nodes+arcs)");
     table.addRow({"table bits", "last-value", "stride", "context"});
 
-    // 15 sweep cells, one gcc capture: the engine replays all of them.
+    // 15 sweep cells, one gcc profile, one fused analysis pass.
     const std::vector<unsigned> bit_sweep = {6u, 8u, 10u, 12u, 16u};
     std::vector<ExperimentJob> jobs;
     for (unsigned bits : bit_sweep) {

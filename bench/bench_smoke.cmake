@@ -1,7 +1,7 @@
 # bench_smoke: run one figure binary through the parallel experiment
 # engine (quick mode, 2 threads) and validate the emitted
-# "ppm-bench-timing-v1" stage-timing JSON, so the engine's capture/
-# replay + caching path is exercised in tier-1. Invoked by ctest as
+# "ppm-bench-timing-v1" stage-timing JSON, so the engine's profile
+# sharing + fused path is exercised in tier-1. Invoked by ctest as
 #   cmake -DBENCH_BIN=<fig5_overall> -DOUT=<json path> -P bench_smoke.cmake
 
 if(NOT BENCH_BIN OR NOT OUT)
@@ -61,21 +61,12 @@ if(NOT nruns EQUAL 36)
     message(FATAL_ERROR "bench_smoke: expected 36 runs, got ${nruns}")
 endif()
 
-# Run caching: 3 predictor configs per workload share one capture.
+# Run caching: 3 predictor configs per workload share one pass-1 profile.
 string(JSON sims GET "${doc}" totals simulations)
 if(NOT sims EQUAL 12)
     message(FATAL_ERROR
             "bench_smoke: expected 12 simulations, got ${sims} "
             "(capture sharing broken)")
-endif()
-
-# Capture/replay with fused sweeps: quick-mode traces fit the cap and
-# the 3 predictor cells per workload coalesce into one lane group, so
-# there is exactly one replay *pass* per workload.
-string(JSON replays GET "${doc}" totals replays)
-if(NOT replays EQUAL 12)
-    message(FATAL_ERROR
-            "bench_smoke: expected 12 replay passes, got ${replays}")
 endif()
 
 # shared_stages: per-group costs reported apart from per-lane analyze
@@ -116,5 +107,5 @@ endif()
 
 message(STATUS
         "bench_smoke ok: ${nruns} runs, ${sims} simulations, "
-        "${replays} replays, wall ${wall}s "
+        "${fgroups} fused groups, wall ${wall}s "
         "(first cell: ${row0_workload}/${row0_predictor})")

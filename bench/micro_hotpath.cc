@@ -3,28 +3,29 @@
  * Analyzer-core hot-path microbenchmark.
  *
  * Measures raw model throughput (dynamic instructions per second
- * through DpgAnalyzer::onInstr / onBlock) with the simulator taken out
- * of the loop: each scenario captures one in-memory trace, then replays
- * it through fresh analyzer instances and reports the best repetition.
+ * through DpgAnalyzer::onBlock) with the simulator taken out of the
+ * loop: each workload's budgeted stream is recorded once into a
+ * DynInstr vector, then fed through fresh analyzer instances in
+ * 256-instruction onBlock spans, reporting the best repetition.
  * This isolates exactly the serving hot path the paged value table,
  * the pending-arc arena, and block dispatch optimize — compare runs
  * via the committed BENCH_hotpath.json trajectory at the repo root.
  *
  * Scenario modes (the "mode" field, schema ppm-hotpath-v3):
- *   "replay"           one predictor cell fed from the captured trace
+ *   "replay"           one predictor cell fed from the recorded stream
  *   "sweep-sequential" the full predictor-bank sweep (every value
  *                      predictor, each lane's bank carrying gshare),
- *                      one replay pass per cell — the pre-fusion path
+ *                      one pass per cell — the pre-fusion path
  *   "sweep-fused"      the same sweep through FusedAnalysisSink: one
- *                      replay pass drives every lane
+ *                      pass drives every lane
  *   "intra-serial"     one Context cell through the serial analyzer —
  *                      the A side of the within-run scaling pair
  *   "intra-pipeline"   the same cell through IntraRunPipeline
  *                      (PPM_HOTPATH_INTRA_THREADS total threads)
  *   "analyze-full"     one Context cell, simulation-fed two-pass
  *                      analysis of the whole budget — the A side of
- *                      the phase-sampling pair (no trace capture, so
- *                      it scales to 100M+ budgets)
+ *                      the phase-sampling pair (no recorded stream,
+ *                      so it scales to 100M+ budgets)
  *   "sampled"          the same cell through the phase-sampled
  *                      scheduler (runner/sampled_run.hh); throughput
  *                      counts the full budget the estimate stands for
@@ -40,8 +41,9 @@
  *                       (default 4, min 2)
  *   PPM_HOTPATH_SAMPLED_ONLY
  *                       nonzero: run only the analyze-full/sampled
- *                       pair (capture-based rows need ~128 B/instr of
- *                       trace memory, unaffordable at 100M budgets)
+ *                       pair (recorded-stream rows hold one 160-byte
+ *                       DynInstr per instruction, unaffordable at
+ *                       100M budgets)
  *   PPM_HOTPATH_SAMPLE_INTERVAL, PPM_HOTPATH_SAMPLE_WARMUP,
  *   PPM_HOTPATH_SAMPLE_PHASES
  *                       sampling geometry for the sampled rows
@@ -60,6 +62,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,7 +71,6 @@
 #include "runner/fused_sink.hh"
 #include "runner/intra_pipeline.hh"
 #include "runner/sampled_run.hh"
-#include "runner/trace_buffer.hh"
 #include "sim/machine.hh"
 #include "sim/profiler.hh"
 #include "support/env.hh"
@@ -95,6 +97,39 @@ struct Scenario
     double bestSec = 0.0;
     double instrsPerSec = 0.0;
 };
+
+/** Pass 1 of one workload: the exec profile plus the recorded stream. */
+class StreamRecorder : public ppm::TraceSink
+{
+  public:
+    explicit StreamRecorder(ppm::ExecProfile &profile)
+        : profile_(profile)
+    {
+    }
+
+    void
+    onInstr(const ppm::DynInstr &di) override
+    {
+        profile_.onInstr(di);
+        stream.push_back(di);
+    }
+
+    std::vector<ppm::DynInstr> stream;
+
+  private:
+    ppm::ExecProfile &profile_;
+};
+
+/** Feed @p stream to @p sink in 256-instruction onBlock spans. */
+void
+feed(const std::vector<ppm::DynInstr> &stream, ppm::TraceSink &sink)
+{
+    constexpr std::size_t kBlock = 256;
+    const std::span<const ppm::DynInstr> all(stream);
+    for (std::size_t i = 0; i < all.size(); i += kBlock)
+        sink.onBlock(all.subspan(i, std::min(kBlock, all.size() - i)));
+    sink.onRunEnd();
+}
 
 const char *
 predictorJsonName(ppm::PredictorKind kind)
@@ -149,21 +184,12 @@ main(int argc, char **argv)
         const std::vector<Value> input =
             w.makeInput(kDefaultWorkloadSeed);
 
-        // Pass 1 once per workload: profile + capture. The cap is
-        // sized to always hold the budgeted stream (~100 B/instr
-        // worst case) so the measurement never falls back to
-        // re-simulation.
+        // Pass 1 once per workload: profile + record the stream.
         ExecProfile profile(prog.textSize());
-        TraceCapture capture(prog, budget * 128 + (64ULL << 20));
-        TeeSink tee({&profile, &capture});
+        StreamRecorder recorder(profile);
         Machine machine(prog, input);
-        machine.run(&tee, budget);
-        auto trace = capture.take();
-        if (!trace) {
-            std::cerr << "micro_hotpath: capture overflowed for "
-                      << w.name << "\n";
-            std::exit(1);
-        }
+        machine.run(&recorder, budget);
+        const std::vector<DynInstr> &stream = recorder.stream;
 
         std::vector<PredictorKind> kinds;
         if (all_kinds) {
@@ -177,7 +203,7 @@ main(int argc, char **argv)
             Scenario row;
             row.workload = w.name;
             row.predictor = predictorJsonName(kind);
-            row.dynInstrs = trace->size();
+            row.dynInstrs = stream.size();
             row.reps = static_cast<unsigned>(reps);
             row.bestSec = 1e300;
             for (std::uint64_t r = 0; r < reps; ++r) {
@@ -185,7 +211,7 @@ main(int argc, char **argv)
                 cfg.kind = kind;
                 DpgAnalyzer analyzer(prog, profile, cfg);
                 const auto t0 = Clock::now();
-                trace->replay(prog, analyzer);
+                feed(stream, analyzer);
                 const double sec = secondsSince(t0);
                 row.bestSec = std::min(row.bestSec, sec);
                 // takeStats flushes live values — part of the model's
@@ -209,7 +235,7 @@ main(int argc, char **argv)
 
         // Fused-sweep A/B: the full predictor-bank sweep (every
         // value-predictor lane, each bank carrying gshare), once with
-        // one replay pass per cell (the pre-fusion engine path) and
+        // one pass per cell (the pre-fusion engine path) and
         // once through FusedAnalysisSink where a single pass drives
         // every lane. Modes alternate within each repetition so
         // machine drift hits both equally; throughput counts total
@@ -220,7 +246,7 @@ main(int argc, char **argv)
             row.workload = w.name;
             row.predictor = "all";
             row.mode = mode;
-            row.dynInstrs = trace->size();
+            row.dynInstrs = stream.size();
             row.reps = static_cast<unsigned>(reps);
             row.bestSec = 1e300;
             return row;
@@ -240,7 +266,7 @@ main(int argc, char **argv)
                 }
                 const auto t0 = Clock::now();
                 for (auto &cell : cells)
-                    trace->replay(prog, *cell);
+                    feed(stream, *cell);
                 seq.bestSec =
                     std::min(seq.bestSec, secondsSince(t0));
                 for (auto &cell : cells)
@@ -255,7 +281,7 @@ main(int argc, char **argv)
                         prog, profile, cfg));
                 }
                 const auto t0 = Clock::now();
-                trace->replay(prog, sink);
+                feed(stream, sink);
                 fus.bestSec =
                     std::min(fus.bestSec, secondsSince(t0));
                 for (std::size_t i = 0; i < lanes; ++i)
@@ -278,7 +304,7 @@ main(int argc, char **argv)
 
         // Intra-run A/B: ONE Context-predictor cell, serial analyzer
         // vs the staged intra-run pipeline (PPM_HOTPATH_INTRA_THREADS
-        // total threads, default 4). Same trace, modes interleaved
+        // total threads, default 4). Same stream, modes interleaved
         // per repetition, identical checksum fold — this is the
         // within-run scaling row the engine's PPM_INTRA_THREADS knob
         // buys, as opposed to the across-lane fusion above.
@@ -294,7 +320,7 @@ main(int argc, char **argv)
             {
                 DpgAnalyzer analyzer(prog, profile, cfg);
                 const auto t0 = Clock::now();
-                trace->replay(prog, analyzer);
+                feed(stream, analyzer);
                 ser.bestSec =
                     std::min(ser.bestSec, secondsSince(t0));
                 checksum ^= analyzer.takeStats().totalElements();
@@ -303,7 +329,7 @@ main(int argc, char **argv)
                 IntraRunPipeline pipeline(prog, profile, cfg,
                                           intraThreads);
                 const auto t0 = Clock::now();
-                trace->replay(prog, pipeline);
+                feed(stream, pipeline);
                 const std::uint64_t elems =
                     pipeline.takeStats().totalElements();
                 // takeStats() joins the stages, so the clock stops
@@ -330,7 +356,7 @@ main(int argc, char **argv)
 
     // Sampling A/B: ONE Context cell on the headline workload,
     // simulation-fed full two-pass analysis vs the phase-sampled
-    // scheduler at the same budget. Neither side captures a trace, so
+    // scheduler at the same budget. Neither side records the stream, so
     // this pair (and PPM_HOTPATH_SAMPLED_ONLY=1) is how the 100M-
     // budget rows in the committed BENCH_hotpath.json are measured.
     auto run_sampled_pair = [&](const Workload &w) {

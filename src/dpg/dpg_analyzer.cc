@@ -229,12 +229,6 @@ DpgAnalyzer::onInstr(const DynInstr &di)
     analyzeInstr(di);
 }
 
-bool
-DpgAnalyzer::prefersBlocks() const
-{
-    return blockPrefetch_;
-}
-
 void
 DpgAnalyzer::prefetchShallow(const DynInstr &di)
 {

@@ -345,15 +345,12 @@ class DpgAnalyzer : public TraceSink
     void onInstr(const DynInstr &di) override;
 
     /**
-     * Batched entry point (the in-memory replay path): analyzes each
-     * instruction exactly as onInstr would — output is byte-identical
-     * — while prefetching the predictor-table and value-table lines
-     * the next few instructions will touch.
+     * Batched entry point (the fused and intra-run staging): analyzes
+     * each instruction exactly as onInstr would — output is
+     * byte-identical — while prefetching the predictor-table and
+     * value-table lines the next few instructions will touch.
      */
     void onBlock(std::span<const DynInstr> block) override;
-
-    /** Blocks pay off iff the prefetch pipeline is armed. */
-    bool prefersBlocks() const override;
 
     void onRunEnd() override;
 

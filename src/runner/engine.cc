@@ -32,8 +32,6 @@ defaultThreads()
     return hw == 0 ? 1 : hw;
 }
 
-constexpr std::uint64_t kDefaultTraceCapMb = 256;
-
 CaptureKey
 keyOf(const ExperimentJob &job)
 {
@@ -93,13 +91,6 @@ EngineOptions::withEnvFallback() const
         o.intraThreads = static_cast<unsigned>(
             envUint("PPM_INTRA_THREADS", 1, /*min=*/1));
     }
-    if (o.traceByteCap == 0) {
-        o.traceByteCap = envUint("PPM_TRACE_MEM_MB",
-                                 kDefaultTraceCapMb, /*min=*/1) *
-                         1024 * 1024;
-    }
-    if (!o.replay.has_value())
-        o.replay = envFlag("PPM_REPLAY", true);
     if (!o.verify.has_value())
         o.verify = envFlag("PPM_VERIFY", false);
     if (!o.fused.has_value())
@@ -129,6 +120,8 @@ RequestHandle::status() const
 ExperimentOutcome
 RequestHandle::wait()
 {
+    if (!state_)
+        throw std::logic_error("wait() on an invalid RequestHandle");
     ExperimentEngine &engine = *state_->engine;
     std::unique_lock<std::mutex> lock(engine.queueMutex_);
     engine.doneCv_.wait(lock, [&] {
@@ -145,6 +138,8 @@ RequestHandle::wait()
 bool
 RequestHandle::cancel()
 {
+    if (!state_)
+        return false;
     ExperimentEngine &engine = *state_->engine;
     bool zero = false;
     CaptureKey key;
@@ -195,19 +190,14 @@ ExperimentEngine::ExperimentEngine(const EngineOptions &opts)
     const EngineOptions resolved = opts.withEnvFallback();
     threads_ = resolved.threads;
     intraThreads_ = resolved.intraThreads;
-    traceByteCap_ = resolved.traceByteCap;
-    replay_ = *resolved.replay;
     verify_ = *resolved.verify;
     fused_ = *resolved.fused;
     sample_ = *resolved.sample;
-    if (resolved.captureRetentionBytes > 0)
-        cache_.setRetentionBytes(resolved.captureRetentionBytes);
 
     obsJobs_ = obs::counter("runner.jobs_completed");
     obsBatches_ = obs::counter("runner.batches");
     obsSimulations_ = obs::counter("runner.simulations");
-    obsReplays_ = obs::counter("runner.replays");
-    obsReplayFallbacks_ = obs::counter("runner.replay_fallbacks");
+    obsResims_ = obs::counter("runner.resims");
     obsFusedGroups_ = obs::counter("runner.fused_groups");
     obsFusedLanes_ = obs::counter("runner.fused_lanes");
     obsWorkerBusyUs_ = obs::counter("runner.worker_busy_us");
@@ -289,14 +279,7 @@ ExperimentEngine::captureFor(const ExperimentJob &job)
         const auto t0 = Clock::now();
         r.profile = std::make_unique<ExecProfile>(prog.textSize());
         Machine m(prog, *job.input);
-        if (replay_) {
-            TraceCapture capture(prog, traceByteCap_);
-            TeeSink tee({r.profile.get(), &capture});
-            m.run(&tee, job.config.maxInstrs);
-            r.trace = capture.take();
-        } else {
-            m.run(r.profile.get(), job.config.maxInstrs);
-        }
+        m.run(r.profile.get(), job.config.maxInstrs);
         r.dynInstrs = r.profile->total();
         r.simulateSec = secondsSince(t0);
         return r;
@@ -327,19 +310,10 @@ ExperimentEngine::runJob(const ExperimentJob &job)
     // PPM_INTRA_THREADS.
     const bool intra = intraThreads_ > 1 && !dpg.verify;
     auto feed = [&](TraceSink &sink) {
-        if (ref.result->trace) {
-            ref.result->trace->replay(prog, sink);
-            out.timing.replayed = true;
-            if (obsReplays_)
-                obsReplays_->add();
-        } else {
-            // Capture overflowed its byte cap (or replay is off):
-            // spill fallback, re-simulating the deterministic stream.
-            Machine m(prog, *job.input);
-            m.run(&sink, job.config.maxInstrs);
-            if (obsReplayFallbacks_ && replay_)
-                obsReplayFallbacks_->add();
-        }
+        Machine m(prog, *job.input);
+        m.run(&sink, job.config.maxInstrs);
+        if (obsResims_)
+            obsResims_->add();
     };
     if (intra) {
         IntraRunPipeline pipeline(prog, *ref.result->profile, dpg,
@@ -363,9 +337,9 @@ ExperimentEngine::runFusedJobs(
     const ExperimentJob &lead = *group.front();
     const Program &prog = *lead.program;
 
-    // All lanes share one CaptureKey, so any member can run the
-    // capture; a cache hit here (a previous request captured this
-    // key) must not skip any lane — each still gets its own analyzer.
+    // All lanes share one CaptureKey, so any member can run pass 1;
+    // a cache hit here (an overlapping request profiled this key)
+    // must not skip any lane — each still gets its own analyzer.
     RunCache::CaptureRef ref = captureFor(lead);
 
     FusedAnalysisSink sink(intraThreads_);
@@ -377,22 +351,14 @@ ExperimentEngine::runFusedJobs(
     }
 
     const auto t1 = Clock::now();
-    bool replayed = false;
-    if (ref.result->trace) {
-        obs::Span span("fused_replay", "runner");
-        ref.result->trace->replay(prog, sink);
-        replayed = true;
-        if (obsReplays_)
-            obsReplays_->add();
-    } else {
-        // Capture overflowed its byte cap (or replay is off): one
-        // re-simulation still feeds every lane — the fallback stays
-        // fused, staging blocks inside the sink.
+    {
+        // One simulation feeds every lane, staging blocks inside the
+        // sink.
         obs::Span span("fused_resim", "runner");
         Machine m(prog, *lead.input);
         m.run(&sink, lead.config.maxInstrs);
-        if (obsReplayFallbacks_ && replay_)
-            obsReplayFallbacks_->add();
+        if (obsResims_)
+            obsResims_->add();
     }
     const double passSec = secondsSince(t1);
 
@@ -407,11 +373,10 @@ ExperimentEngine::runFusedJobs(
         out.stats = sink.takeStats(i);
         out.timing.assembleSec = group[i]->assembleSec;
         out.timing.simulateSec = ref.result->simulateSec;
-        // Lane 0 stands for the cell that would have run the capture;
+        // Lane 0 stands for the cell that would have run pass 1;
         // the rest are sharers, mirroring the sequential accounting.
         out.timing.captureShared = i == 0 ? ref.hit : true;
         out.timing.dynInstrs = ref.result->dynInstrs;
-        out.timing.replayed = replayed;
         out.timing.analyzeSec = sink.laneSeconds(i);
         out.timing.fused = true;
         out.timing.fusedLanes = static_cast<unsigned>(group.size());
@@ -436,11 +401,10 @@ ExperimentEngine::runSampledJobs(
     obs::Span job_span("sampled_job", "runner");
     const ExperimentJob &lead = *group.front();
 
-    // No capture: the profiling pass streams into checkpoints and
-    // interval signatures directly, and the measurement pass
-    // re-produces only the sampled sub-streams — buffering the full
-    // budget would defeat 100M-1B scheduling. runClaimed's
-    // unconditional key release is a no-op for never-captured keys.
+    // No RunCache entry: the profiling pass streams into checkpoints
+    // and interval signatures directly, and the measurement pass
+    // re-produces only the sampled sub-streams. runClaimed's
+    // unconditional key release is a no-op for never-cached keys.
     std::vector<DpgConfig> configs;
     configs.reserve(group.size());
     for (const ExperimentJob *job : group)

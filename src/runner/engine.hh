@@ -20,38 +20,39 @@
  * Per cell the engine:
  *
  *   1. assembles the program once per process (RunCache),
- *   2. simulates once per (program, input, budget), capturing the
- *      dynamic stream in memory while profiling (TraceCapture behind
- *      a TeeSink),
- *   3. replays the captured stream into the DpgAnalyzer — falling
- *      back to a second simulation only when the trace outgrew its
- *      byte cap.
+ *   2. profiles once per in-flight (program, input, budget) — pass 1,
+ *      shared by every cell of that key still in flight,
+ *   3. simulates the deterministic stream again straight into the
+ *      DpgAnalyzer — pass 2.
+ *
+ * Machine::run is the only stream source. An in-memory copy of pass
+ * 1's stream for pass 2 cost 85-90 B per instruction, cut pass 1 from
+ * ~20M to ~6-7M instrs/s, and overflowed its memory cap on the
+ * largest workloads; the deterministic simulator reproduces the
+ * stream exactly, so pass 2 simply runs it again (DESIGN.md Sec. 6).
  *
  * Fused sweeps (default; see fused_sink.hh and DESIGN.md Sec. 10/11):
  * when a worker claims the front of the pending queue it also claims
  * every other *pending* request sharing the same CaptureKey — same
  * (program, input, instruction budget), differing only in predictor
  * configuration — and analyzes the whole group in ONE pass: the
- * stream is decoded (or re-simulated, when the capture overflowed)
- * once and each block is dispatched to every lane. The coalescing
- * window is therefore the pending queue at claim time: a batch
- * enqueued atomically by run()/submitAll() coalesces exactly as the
- * old batch engine did, while a serve daemon's requests coalesce
- * opportunistically with whatever is still queued. Cells with
+ * stream is simulated once and each block is dispatched to every
+ * lane. The coalescing window is therefore the pending queue at
+ * claim time: a batch enqueued atomically by run()/submitAll()
+ * coalesces exactly as the old batch engine did, while a serve
+ * daemon's requests coalesce opportunistically with whatever is
+ * still queued. Cells with
  * different budgets never coalesce because their CaptureKeys differ.
  * PPM_FUSED=0 restores one-pass-per-cell scheduling for bisection.
  *
  * Each cell's analysis is bit-identical to the serial two-pass
- * runModel() path because the simulator is deterministic, the
- * captured stream is exact, and fused lanes are fully independent
- * (asserted in tests/test_runner.cc, tests/test_fused.cc and
- * tests/test_engine_api.cc).
+ * runModel() path because the simulator is deterministic and fused
+ * lanes are fully independent (asserted in tests/test_runner.cc,
+ * tests/test_fused.cc and tests/test_engine_api.cc).
  *
- * Captures are reference-counted across in-flight requests and
- * released when the last request needing one completes; with
- * EngineOptions::captureRetentionBytes > 0 the RunCache keeps
- * released captures in a bounded LRU instead (the serve daemon's
- * cross-request memoization tier).
+ * Pass-1 profiles are reference-counted across in-flight requests
+ * and released when the last request needing one completes, so
+ * requests share a profile only while they overlap.
  *
  * Environment knobs (resolved at engine construction; see
  * EngineOptions::fromEnv()):
@@ -63,10 +64,7 @@
  *                     with byte-identical output; ignored under
  *                     PPM_VERIFY (differential verification needs
  *                     the serial analyzer)
- *   PPM_TRACE_MEM_MB  per-capture byte cap (default 256 MiB)
  *   PPM_FUSED=0       disable fused sweeps (one pass per cell)
- *   PPM_REPLAY=0      disable capture/replay (always two-pass) —
- *                     the baseline for speedup measurements
  *   PPM_VERIFY=1      run every cell with differential verification:
  *                     oracle predictors in lockstep with pred/ plus
  *                     the DPG invariant audit (see src/verify/,
@@ -118,13 +116,17 @@ namespace ppm {
 struct StageTiming
 {
     double assembleSec = 0.0;  ///< 0 when the program came from cache.
-    double simulateSec = 0.0;  ///< Pass-1 capture (of the cell that ran it).
-    double analyzeSec = 0.0;   ///< Model pass (replay or re-simulation).
+    double simulateSec = 0.0;  ///< Pass-1 profile (of the cell that ran it).
+    double analyzeSec = 0.0;   ///< Model pass (re-simulation + analysis).
 
-    /** Pass 2 replayed the captured trace instead of re-simulating. */
+    /**
+     * Always false: pass 2 always re-simulates. Kept because the
+     * benchmark driver (perfbench/ppmbench.cc) reads it for its
+     * runner.replay_frac layer metric.
+     */
     bool replayed = false;
 
-    /** The capture was reused from the cache (another cell ran it). */
+    /** The pass-1 profile came from the cache (another cell ran it). */
     bool captureShared = false;
 
     /** This cell ran as one lane of a fused multi-cell pass. */
@@ -214,18 +216,8 @@ struct EngineOptions
      */
     unsigned intraThreads = 0;
 
-    std::uint64_t traceByteCap = 0;
-    std::optional<bool> replay;
     std::optional<bool> verify;
     std::optional<bool> fused;
-
-    /**
-     * When > 0, released captures stay cached in an LRU bounded to
-     * roughly this many bytes of trace memory — the serve daemon's
-     * cross-request memoization tier (RunCache::setRetentionBytes).
-     * 0 (default) releases captures eagerly, batch-engine style.
-     */
-    std::uint64_t captureRetentionBytes = 0;
 
     /**
      * Phase-sampling knobs; nullopt defers to PPM_SAMPLE (see
@@ -238,7 +230,7 @@ struct EngineOptions
 
     /**
      * Every knob resolved from the environment (PPM_THREADS,
-     * PPM_TRACE_MEM_MB, PPM_REPLAY, PPM_VERIFY, PPM_FUSED), with the
+     * PPM_INTRA_THREADS, PPM_VERIFY, PPM_FUSED, PPM_SAMPLE), with the
      * documented defaults for unset variables. The single resolution
      * path shared by the engine constructor, the CLI, the serve
      * daemon, and tests — a malformed value throws EnvError naming
@@ -300,14 +292,16 @@ class RequestHandle
     /**
      * Block until the request reaches a terminal state, then move the
      * outcome out (single-shot). Rethrows the cell's exception on
-     * Failed; throws RequestCancelled on Cancelled.
+     * Failed; throws RequestCancelled on Cancelled, and
+     * std::logic_error on a default-constructed (invalid) handle.
      */
     ExperimentOutcome wait();
 
     /**
      * Unqueue the request if no worker claimed it yet. Returns true
      * when the request was cancelled (wait() will throw
-     * RequestCancelled), false when it already ran or is running.
+     * RequestCancelled), false when it already ran or is running, or
+     * when the handle is invalid.
      */
     bool cancel();
 
@@ -374,10 +368,8 @@ class ExperimentEngine
     RunCache &cache() { return cache_; }
     unsigned threads() const { return threads_; }
     unsigned intraThreads() const { return intraThreads_; }
-    bool replayEnabled() const { return replay_; }
     bool verifyEnabled() const { return verify_; }
     bool fusedEnabled() const { return fused_; }
-    std::uint64_t traceByteCap() const { return traceByteCap_; }
 
     const SampleOptions &sampleOptions() const { return sample_; }
 
@@ -417,7 +409,7 @@ class ExperimentEngine
 
     ExperimentOutcome runJob(const ExperimentJob &job);
 
-    /** Get-or-run the pass-1 capture for @p job's CaptureKey. */
+    /** Get-or-run the pass-1 profile for @p job's CaptureKey. */
     RunCache::CaptureRef captureFor(const ExperimentJob &job);
 
     /**
@@ -430,10 +422,10 @@ class ExperimentEngine
 
     /**
      * Run a claimed group through the phase-sampled scheduler
-     * (samplingEnabled()): no TraceCapture, no RunCache entry — the
-     * profiling pass streams straight into checkpoints and interval
-     * signatures and the measurement pass analyzes representatives
-     * only. Outcomes are returned in @p group order.
+     * (samplingEnabled()): no RunCache entry — the profiling pass
+     * streams straight into checkpoints and interval signatures and
+     * the measurement pass analyzes representatives only. Outcomes
+     * are returned in @p group order.
      */
     std::vector<ExperimentOutcome>
     runSampledJobs(const std::vector<const ExperimentJob *> &group);
@@ -464,8 +456,6 @@ class ExperimentEngine
     RunCache cache_;
     unsigned threads_ = 1;
     unsigned intraThreads_ = 1;
-    std::uint64_t traceByteCap_ = 0;
-    bool replay_ = true;
     bool verify_ = false;
     bool fused_ = true;
     bool reportAtExit_ = false;
@@ -475,8 +465,7 @@ class ExperimentEngine
     obs::Counter *obsJobs_ = nullptr;
     obs::Counter *obsBatches_ = nullptr;
     obs::Counter *obsSimulations_ = nullptr;
-    obs::Counter *obsReplays_ = nullptr;
-    obs::Counter *obsReplayFallbacks_ = nullptr;
+    obs::Counter *obsResims_ = nullptr;
     obs::Counter *obsFusedGroups_ = nullptr;
     obs::Counter *obsFusedLanes_ = nullptr;
     obs::Counter *obsWorkerBusyUs_ = nullptr;
@@ -499,8 +488,8 @@ class ExperimentEngine
     unsigned inflight_ = 0;
 
     /**
-     * In-flight requests per CaptureKey: the capture is released (or
-     * retired into the retention LRU) when the count reaches zero.
+     * In-flight requests per CaptureKey: the pass-1 profile is
+     * released when the count reaches zero.
      */
     std::unordered_map<CaptureKey, unsigned, CaptureKeyHash> liveKeys_;
 

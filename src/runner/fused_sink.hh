@@ -6,11 +6,10 @@
  * rows share the identical deterministic instruction stream — only
  * the predictor configuration differs. FusedAnalysisSink multiplexes
  * that stream across N independent DpgAnalyzer lanes so the stream is
- * produced (replay decode, or a fallback re-simulation) exactly once
- * per row instead of once per cell. Each 256-instruction block is
- * staged once and dispatched to every lane in submission order;
- * per-lane prefersBlocks()/prefetch gating is preserved because each
- * lane's own onBlock decides whether to run its prefetch pipeline.
+ * simulated exactly once per row instead of once per cell. Each
+ * 256-instruction block is staged once and dispatched to every lane
+ * in submission order; each lane's own onBlock decides whether to run
+ * its prefetch pipeline.
  *
  * Lanes are fully independent — separate PredictorBank, value tables,
  * pending-arc arenas, influence scratch — so interleaving blocks
@@ -50,9 +49,8 @@ class FusedAnalysisSink : public TraceSink
 {
   public:
     /**
-     * Instructions per staged block on the onInstr (re-simulation
-     * fallback) path. Matches CapturedTrace::kReplayBlock so both
-     * producers hand lanes the same lookahead window.
+     * Instructions per staged block on the onInstr (simulator) path:
+     * the lanes' prefetch lookahead window.
      */
     static constexpr std::size_t kStageBlock = 256;
 
@@ -94,15 +92,8 @@ class FusedAnalysisSink : public TraceSink
      */
     void onInstr(const DynInstr &di) override;
 
-    /** Replay path: dispatch the producer's block to every lane. */
+    /** Block producers: dispatch the producer's block to every lane. */
     void onBlock(std::span<const DynInstr> block) override;
-
-    /**
-     * Always batch: even when no lane runs a prefetch pipeline the
-     * staging cost is paid once for N lanes, so blocks win for the
-     * sink as a whole.
-     */
-    bool prefersBlocks() const override { return true; }
 
     /** Flush any staged partial block, then end every lane's run. */
     void onRunEnd() override;
@@ -137,7 +128,7 @@ class FusedAnalysisSink : public TraceSink
 
     std::vector<Lane> lanes_;
 
-    /** Staging buffer for the onInstr fallback path. */
+    /** Staging buffer for the onInstr path. */
     std::vector<DynInstr> staged_;
 
     // --- parallel lane dispatch ------------------------------------

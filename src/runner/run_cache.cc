@@ -41,8 +41,7 @@ RunCache::RunCache()
       obsProgramCollisions_(obs::counter("cache.program_collisions")),
       obsCaptureHits_(obs::counter("cache.capture_hits")),
       obsCaptureMisses_(obs::counter("cache.capture_misses")),
-      obsWaitersBlocked_(obs::counter("cache.waiters_blocked")),
-      obsCaptureEvictions_(obs::counter("cache.capture_evictions"))
+      obsWaitersBlocked_(obs::counter("cache.waiters_blocked"))
 {
 }
 
@@ -139,18 +138,6 @@ RunCache::capture(const CaptureKey &key,
         if (it != captures_.end()) {
             ++counters_.captureHits;
             future = it->second;
-            // A hit on a retained capture puts it back in flight:
-            // promote it OUT of the retention tier (not just to the
-            // LRU tail) so a concurrent eviction scan can never pick
-            // an in-flight capture as victim. The releasing caller
-            // re-retains it once the last reference drops, keeping
-            // retainedBytes_ exact across the hit/release cycle.
-            auto rt = retained_.find(key);
-            if (rt != retained_.end()) {
-                retainedBytes_ -= rt->second.bytes;
-                lru_.erase(rt->second.lruIt);
-                retained_.erase(rt);
-            }
         } else {
             future = promise.get_future().share();
             captures_.emplace(key, future);
@@ -200,88 +187,7 @@ void
 RunCache::release(const CaptureKey &key)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (retentionBytes_ == 0) {
-        captures_.erase(key);
-        return;
-    }
-    retainLocked(key);
-}
-
-void
-RunCache::retainLocked(const CaptureKey &key)
-{
-    auto it = captures_.find(key);
-    if (it == captures_.end())
-        return;
-    auto rt = retained_.find(key);
-    if (rt != retained_.end()) {
-        lru_.splice(lru_.end(), lru_, rt->second.lruIt);
-        return;
-    }
-    // Released captures are always completed computes, but guard
-    // against a not-yet-ready future anyway: dropping it is safe
-    // (in-flight refs hold the shared_future).
-    if (it->second.wait_for(std::chrono::seconds(0)) !=
-        std::future_status::ready) {
-        captures_.erase(it);
-        return;
-    }
-    std::shared_ptr<const CaptureResult> result = it->second.get();
-    // Trace bytes dominate; the profile and bookkeeping ride in a
-    // small fixed overhead term.
-    const std::uint64_t bytes =
-        (result && result->trace ? result->trace->memoryBytes() : 0) +
-        4096;
-    lru_.push_back(key);
-    retained_.emplace(key, Retained{std::prev(lru_.end()), bytes});
-    retainedBytes_ += bytes;
-    evictLocked();
-}
-
-void
-RunCache::evictLocked()
-{
-    while (retainedBytes_ > retentionBytes_ && !lru_.empty()) {
-        const CaptureKey victim = lru_.front();
-        lru_.pop_front();
-        auto rt = retained_.find(victim);
-        if (rt == retained_.end()) {
-            // Stale LRU entry (the capture went back in flight and
-            // was promoted out of the tier): skip it — erasing
-            // captures_ here would tear down an in-flight capture,
-            // and counting it double-counted capture_evictions.
-            continue;
-        }
-        retainedBytes_ -= rt->second.bytes;
-        retained_.erase(rt);
-        captures_.erase(victim);
-        ++counters_.captureEvictions;
-        if (obsCaptureEvictions_)
-            obsCaptureEvictions_->add();
-    }
-}
-
-void
-RunCache::setRetentionBytes(std::uint64_t bytes)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    retentionBytes_ = bytes;
-    if (retentionBytes_ == 0) {
-        for (const CaptureKey &key : lru_)
-            captures_.erase(key);
-        lru_.clear();
-        retained_.clear();
-        retainedBytes_ = 0;
-        return;
-    }
-    evictLocked();
-}
-
-std::uint64_t
-RunCache::retainedBytes() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return retainedBytes_;
+    captures_.erase(key);
 }
 
 void
@@ -290,9 +196,6 @@ RunCache::clear()
     std::lock_guard<std::mutex> lock(mutex_);
     programs_.clear();
     captures_.clear();
-    lru_.clear();
-    retained_.clear();
-    retainedBytes_ = 0;
 }
 
 RunCache::Counters

@@ -7,23 +7,18 @@
  *  - a **program cache** keyed by (name, source hash): each workload
  *    is assembled once per process instead of once per experiment
  *    cell;
- *  - a **capture cache** keyed by (program identity, input hash,
- *    instruction budget): the pass-1 run — ExecProfile plus the
- *    in-memory CapturedTrace — is computed once and shared by every
- *    predictor configuration analyzing the same cell, so a figure
- *    binary sweeping three predictors simulates each workload once.
+ *  - a **profile cache** keyed by (program identity, input hash,
+ *    instruction budget): the pass-1 ExecProfile is computed once and
+ *    shared by every predictor configuration analyzing the same cell
+ *    while any of them is in flight.
  *
- * A capture requested concurrently from several worker threads is
+ * A profile requested concurrently from several worker threads is
  * computed exactly once; the other threads block on a shared_future.
- * The engine releases a capture once the last cell needing it has
- * finished, bounding resident trace memory to the in-flight set.
- *
- * Retention (the serve daemon's memoization tier): with
- * setRetentionBytes(N > 0), release() keeps the capture cached
- * instead of dropping it, in an LRU set bounded to ~N bytes of
- * trace memory — so identical requests arriving minutes apart still
- * hit, while the resident set stays bounded. Retention off (the
- * default) preserves the batch engine's eager-release behavior.
+ * The engine releases an entry once the last in-flight cell needing
+ * it has finished, so the cache holds only the in-flight set. The
+ * dynamic stream itself is never stored: the simulator is
+ * deterministic, so the analysis pass simulates it again (see
+ * engine.hh for why that is cheaper than keeping a copy).
  */
 
 #ifndef PPM_RUNNER_RUN_CACHE_HH
@@ -32,7 +27,6 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -40,19 +34,15 @@
 
 #include "asmr/program.hh"
 #include "obs/metrics.hh"
-#include "runner/trace_buffer.hh"
 #include "sim/profiler.hh"
 
 namespace ppm {
 
-/** Everything one pass-1 (profile + capture) run produces. */
+/** Everything one pass-1 (profile) run produces. */
 struct CaptureResult
 {
-    /** Complete exec-count profile (valid even when trace is null). */
+    /** Complete exec-count profile. */
     std::unique_ptr<ExecProfile> profile;
-
-    /** The replayable stream; null when the byte cap was exceeded. */
-    std::shared_ptr<const CapturedTrace> trace;
 
     /** Dynamic instructions the pass executed. */
     std::uint64_t dynInstrs = 0;
@@ -103,8 +93,6 @@ class RunCache
         std::uint64_t captureMisses = 0;
         /** Capture hits that had to block on an in-flight compute. */
         std::uint64_t waitersBlocked = 0;
-        /** Retained captures evicted to stay under the byte budget. */
-        std::uint64_t captureEvictions = 0;
     };
 
     /** Outcome of a capture lookup. */
@@ -138,29 +126,19 @@ class RunCache
         std::function<std::uint64_t(std::string_view)> hook);
 
     /**
-     * The capture for @p key, computing it via @p fn exactly once
-     * process-wide; concurrent callers for the same key block until
-     * the first finishes.
+     * The capture for @p key, computing it via @p fn unless an entry
+     * for @p key is cached (computed and not yet released, or still
+     * computing — concurrent callers block until the first finishes).
      */
     CaptureRef capture(const CaptureKey &key,
                        const std::function<CaptureResult()> &fn);
 
     /**
-     * Release the capture for @p key: with retention off (default)
-     * it is dropped immediately; with retention on it moves to the
-     * bounded LRU set (in-flight refs stay valid either way).
+     * Drop the cached entry for @p key; the engine calls this when
+     * the last in-flight cell needing it finishes (refs already
+     * handed out stay valid).
      */
     void release(const CaptureKey &key);
-
-    /**
-     * Keep released captures cached until the retained set exceeds
-     * @p bytes of trace memory (LRU eviction). 0 disables retention
-     * and drops every currently retained capture.
-     */
-    void setRetentionBytes(std::uint64_t bytes);
-
-    /** Approximate bytes held by retained (released) captures. */
-    std::uint64_t retainedBytes() const;
 
     /** Drop everything. */
     void clear();
@@ -181,27 +159,10 @@ class RunCache
     std::string programKey(const std::string &name,
                            std::string_view source) const;
 
-    /** LRU bookkeeping for one retained (released) capture. */
-    struct Retained
-    {
-        std::list<CaptureKey>::iterator lruIt;
-        std::uint64_t bytes = 0;
-    };
-
-    /** Move @p key into the retained LRU set; evict over budget. */
-    void retainLocked(const CaptureKey &key);
-
-    /** Drop every retained capture over the byte budget (oldest first). */
-    void evictLocked();
-
     mutable std::mutex mutex_;
     std::unordered_map<std::string, ProgramEntry> programs_;
     std::unordered_map<CaptureKey, CaptureFuture, CaptureKeyHash>
         captures_;
-    std::uint64_t retentionBytes_ = 0;
-    std::uint64_t retainedBytes_ = 0;
-    std::list<CaptureKey> lru_; ///< Front = least recently used.
-    std::unordered_map<CaptureKey, Retained, CaptureKeyHash> retained_;
     Counters counters_;
     std::function<std::uint64_t(std::string_view)> hashHook_;
 
@@ -212,7 +173,6 @@ class RunCache
     obs::Counter *obsCaptureHits_;
     obs::Counter *obsCaptureMisses_;
     obs::Counter *obsWaitersBlocked_;
-    obs::Counter *obsCaptureEvictions_;
 };
 
 } // namespace ppm

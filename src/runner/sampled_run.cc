@@ -9,7 +9,6 @@
 
 #include "obs/obs.hh"
 #include "runner/fused_sink.hh"
-#include "runner/trace_buffer.hh"
 #include "sample/interval_profiler.hh"
 #include "sample/phase_cluster.hh"
 #include "sim/checkpoint.hh"
@@ -28,6 +27,34 @@ secondsSince(Clock::time_point t0)
 {
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
+
+/** Pass A's sink: the exec-count profile plus interval signatures. */
+class ProfileSink : public TraceSink
+{
+  public:
+    ProfileSink(ExecProfile &profile, IntervalProfiler &iprof)
+        : profile_(profile), iprof_(iprof)
+    {
+    }
+
+    void
+    onInstr(const DynInstr &di) override
+    {
+        profile_.onInstr(di);
+        iprof_.onInstr(di);
+    }
+
+    void
+    onRunEnd() override
+    {
+        profile_.onRunEnd();
+        iprof_.onRunEnd();
+    }
+
+  private:
+    ExecProfile &profile_;
+    IntervalProfiler &iprof_;
+};
 
 /** One strtoull field of the PPM_SAMPLE triple; throws on garbage. */
 std::uint64_t
@@ -107,7 +134,7 @@ runSampledAnalysis(const Program &prog,
     // restores past the last boundary).
     ExecProfile profile(static_cast<StaticId>(prog.textSize()));
     IntervalProfiler iprof(prog.textSize(), L);
-    TeeSink tee({&profile, &iprof});
+    ProfileSink passA(profile, iprof);
 
     Machine machine(prog, input);
     machine.memory().setDirtyTracking(true);
@@ -120,7 +147,7 @@ runSampledAnalysis(const Program &prog,
         while (remaining > 0 && !machine.halted()) {
             const std::uint64_t chunk = std::min(L, remaining);
             const std::uint64_t before = machine.instrCount();
-            machine.run(&tee, chunk);
+            machine.run(&passA, chunk);
             const std::uint64_t ran = machine.instrCount() - before;
             remaining -= ran;
             if (ran == L && !machine.halted()) {

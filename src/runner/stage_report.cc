@@ -26,7 +26,6 @@ struct Totals
     std::uint64_t runs = 0;
     std::uint64_t sampledRuns = 0;
     std::uint64_t simulations = 0;
-    std::uint64_t replays = 0;
     std::uint64_t captureHits = 0;
     std::uint64_t fusedGroups = 0;
     std::uint64_t fusedLanes = 0;
@@ -66,17 +65,13 @@ accumulate(const std::vector<ExperimentEngine::TimedRun> &runs)
         }
         // Shared stages of a fused pass are attributed to lane 0
         // only, so every per-group cost is counted exactly once even
-        // though all lanes carry replayed/fused flags.
+        // though all lanes carry the fused flag.
         if (run.timing.fused) {
             t.fusedLanes += 1;
             if (run.timing.laneIndex == 0) {
                 ++t.fusedGroups;
                 t.dispatchSec += run.timing.dispatchSec;
-                if (run.timing.replayed)
-                    ++t.replays;
             }
-        } else if (run.timing.replayed) {
-            ++t.replays;
         }
     }
     return t;
@@ -109,7 +104,6 @@ writeBenchJson(std::ostream &os, const ExperimentEngine &engine)
     os << ",\"label\":\"" << jsonEscape(label ? label : "") << "\"";
     os << ",\"threads\":" << engine.threads();
     os << ",\"quick\":" << boolStr(quickMode());
-    os << ",\"replay_enabled\":" << boolStr(engine.replayEnabled());
     os << ",\"wall_s\":" << wall;
 
     os << ",\"runs\":[";
@@ -125,7 +119,6 @@ writeBenchJson(std::ostream &os, const ExperimentEngine &engine)
            << ",\"simulate_s\":" << run.timing.simulateSec
            << ",\"analyze_s\":" << run.timing.analyzeSec
            << ",\"dyn_instrs\":" << run.timing.dynInstrs
-           << ",\"replayed\":" << boolStr(run.timing.replayed)
            << ",\"capture_shared\":"
            << boolStr(run.timing.captureShared)
            << ",\"fused\":" << boolStr(run.timing.fused)
@@ -152,13 +145,11 @@ writeBenchJson(std::ostream &os, const ExperimentEngine &engine)
        << ",\"checkpoint_s\":" << t.checkpointSec
        << ",\"fastforward_s\":" << t.fastForwardSec
        << ",\"fused_groups\":" << t.fusedGroups
-       << ",\"fused_lanes\":" << t.fusedLanes
-       << ",\"replay_passes\":" << t.replays << "}";
+       << ",\"fused_lanes\":" << t.fusedLanes << "}";
 
     os << ",\"totals\":{"
        << "\"runs\":" << t.runs
        << ",\"simulations\":" << t.simulations
-       << ",\"replays\":" << t.replays
        << ",\"capture_hits\":" << t.captureHits
        << ",\"assemble_s\":" << t.assembleSec
        << ",\"simulate_s\":" << t.simulateSec
@@ -184,8 +175,7 @@ printStageSummary(std::ostream &os, const ExperimentEngine &engine)
     const double wall = engine.totalWallSec();
     os << "[ppm] " << t.runs << " runs on " << engine.threads()
        << " thread(s): " << t.simulations << " simulation(s), "
-       << t.replays << " replay(s), " << t.captureHits
-       << " capture reuse(s)";
+       << t.captureHits << " capture reuse(s)";
     if (t.fusedGroups > 0) {
         os << ", " << t.fusedLanes << " lanes fused into "
            << t.fusedGroups << " pass(es)";

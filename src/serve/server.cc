@@ -75,21 +75,8 @@ joinMessages(const std::vector<std::string> &msgs)
 
 } // namespace
 
-namespace {
-
-ServerOptions
-withServeDefaults(ServerOptions opts)
-{
-    if (opts.engine.captureRetentionBytes == 0)
-        opts.engine.captureRetentionBytes = 64ULL << 20;
-    return opts;
-}
-
-} // namespace
-
 Server::Server(ServerOptions opts)
-    : opts_(withServeDefaults(std::move(opts))),
-      engine_(opts_.engine)
+    : opts_(std::move(opts)), engine_(opts_.engine)
 {
 }
 
@@ -490,8 +477,9 @@ Server::handleAnalyze(const ServeRequest &req)
 
     // submitAll(): the predictor lanes enter the pending queue
     // atomically, so they coalesce into one fused pass exactly like
-    // a batch caller's — and may further share a retained capture
-    // with an earlier request for the same (program, input, budget).
+    // a batch caller's — and may further share the pass-1 profile
+    // with an overlapping request for the same (program, input,
+    // budget).
     std::vector<RequestHandle> handles = engine_.submitAll(jobs);
 
     ResponseTiming timing;
@@ -543,8 +531,8 @@ Server::handleTrace(const ServeRequest &req)
     }
 
     // Same two-pass discipline as `ppm import`, run on the
-    // connection thread: imported streams replay in-memory and do
-    // not go through the engine's capture tier.
+    // connection thread: imported streams replay from the parsed
+    // request and do not go through the engine.
     const auto t0 = Clock::now();
     ExecProfile profile(trace.program.textSize());
     replayImported(trace, profile);
@@ -615,10 +603,6 @@ Server::statsBody()
     out += std::to_string(c.captureMisses);
     out += ",\"hit_rate_pct\":";
     out += rate;
-    out += ",\"retained_bytes\":";
-    out += std::to_string(engine_.cache().retainedBytes());
-    out += ",\"capture_evictions\":";
-    out += std::to_string(c.captureEvictions);
     out += "}}";
     return out;
 }

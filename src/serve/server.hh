@@ -2,8 +2,7 @@
  * @file
  * The resident analysis daemon behind `ppm serve`.
  *
- * A Server owns one ExperimentEngine (worker pool + RunCache with
- * capture retention as the cross-request memoization tier) and one
+ * A Server owns one ExperimentEngine (worker pool + RunCache) and one
  * listening socket — a Unix-domain socket path or a TCP port bound to
  * 127.0.0.1, never a routable interface. Each accepted connection
  * gets a reader thread that parses line-delimited `ppm-serve-v1`
@@ -17,8 +16,10 @@
  *    with an error response before any work runs;
  *  - **memory budget** — a request line longer than
  *    ServerOptions::maxLineBytes aborts the connection (the stream
- *    itself is malformed at that point), and trace memory is bounded
- *    by the engine's capture byte cap plus the retention LRU budget;
+ *    itself is malformed at that point); the engine keeps no
+ *    instruction stream, and a pass-1 profile lives only while a
+ *    request for its (program, input, budget) is in flight, so a
+ *    repeated request runs the simulator again (DESIGN.md Sec. 6);
  *  - **admission control** — at most ServerOptions::maxInflight
  *    analyze/trace requests run at once; excess requests receive an
  *    explicit `overloaded` response immediately instead of queueing
@@ -77,12 +78,7 @@ struct ServerOptions
      */
     int sendBufBytes = 0;
 
-    /**
-     * Engine configuration. A captureRetentionBytes of 0 is replaced
-     * with 64 MiB at construction (unlike the batch engine's
-     * eager-release default) because retained captures are the
-     * daemon's memoization tier.
-     */
+    /** Engine configuration. */
     EngineOptions engine{};
 };
 

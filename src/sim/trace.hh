@@ -90,11 +90,12 @@ class TraceSink
     /**
      * Called with a batch of consecutive instructions, in program
      * order. Semantically identical to calling onInstr for each
-     * element; producers that buffer (the in-memory trace replay)
-     * use this to amortize virtual dispatch, and sinks that care
-     * (DpgAnalyzer, TeeSink) override it to batch-process and
-     * prefetch upcoming predictor/table state. The default simply
-     * loops, so implementing onInstr alone stays correct.
+     * element; producers that stage blocks (the fused and intra-run
+     * sinks, the branch-trace importer) use this to amortize virtual
+     * dispatch, and sinks that care (DpgAnalyzer) override it to
+     * batch-process and prefetch upcoming predictor/table state. The
+     * default simply loops, so implementing onInstr alone stays
+     * correct.
      */
     virtual void
     onBlock(std::span<const DynInstr> block)
@@ -102,18 +103,6 @@ class TraceSink
         for (const DynInstr &di : block)
             onInstr(di);
     }
-
-    /**
-     * Should producers that can batch (the in-memory trace replay)
-     * deliver via onBlock? Batching costs the producer a staging
-     * buffer between decode and dispatch, which measurably slows
-     * sinks that gain nothing from lookahead — so sinks opt in only
-     * when they exploit blocks (e.g. the analyzer's prefetch
-     * pipeline over DRAM-sized predictor tables). Either delivery
-     * mode must produce identical results; this only picks the
-     * faster path.
-     */
-    virtual bool prefersBlocks() const { return false; }
 
     /** Called after the last instruction of a run. */
     virtual void onRunEnd() {}

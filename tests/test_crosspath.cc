@@ -1,11 +1,11 @@
 /**
  * @file
  * Cross-path differential test: the serial two-pass reference, the
- * single-thread trace-replay engine, the multi-thread cache-shared
- * replay engine, and the fused single-pass sweep engine (one stream
- * pass driving every predictor lane) must all produce byte-identical
- * figure CSV text for every workload. Any scheduling, capture,
- * replay, or lane-multiplexing divergence shows up as a text diff.
+ * single-thread engine, the multi-thread profile-sharing engine, and
+ * the fused single-pass sweep engine (one stream pass driving every
+ * predictor lane) must all produce byte-identical figure CSV text for
+ * every workload. Any scheduling, profile-sharing, or
+ * lane-multiplexing divergence shows up as a text diff.
  */
 
 #include <gtest/gtest.h>
@@ -75,13 +75,12 @@ serialCsv()
     return out.str();
 }
 
-/** Paths (b)-(i): the replay engine — sequential, fused, intra. */
+/** Paths (b)-(i): the engine — sequential, fused, intra. */
 std::string
 engineCsv(unsigned threads, bool fused, unsigned intraThreads = 1)
 {
     EngineOptions opts;
     opts.threads = threads;
-    opts.replay = true;
     opts.fused = fused;
     opts.intraThreads = intraThreads;
     ExperimentEngine engine(opts);
@@ -109,8 +108,8 @@ engineCsv(unsigned threads, bool fused, unsigned intraThreads = 1)
 TEST(CrossPath, AllPathsProduceByteIdenticalFigureCsv)
 {
     const std::string serial = serialCsv();
-    const std::string replay1 = engineCsv(/*threads=*/1, false);
-    const std::string replay4 = engineCsv(/*threads=*/4, false);
+    const std::string seq1 = engineCsv(/*threads=*/1, false);
+    const std::string seq4 = engineCsv(/*threads=*/4, false);
     const std::string fused1 = engineCsv(/*threads=*/1, true);
     const std::string fused4 = engineCsv(/*threads=*/4, true);
 
@@ -119,10 +118,10 @@ TEST(CrossPath, AllPathsProduceByteIdenticalFigureCsv)
         std::count(serial.begin(), serial.end(), '\n'));
     EXPECT_EQ(rows, 1 + allWorkloads().size() * 3);
 
-    EXPECT_EQ(serial, replay1)
-        << "serial two-pass vs single-thread trace replay diverged";
-    EXPECT_EQ(serial, replay4)
-        << "serial two-pass vs 4-thread cache-shared replay diverged";
+    EXPECT_EQ(serial, seq1)
+        << "serial two-pass vs single-thread engine diverged";
+    EXPECT_EQ(serial, seq4)
+        << "serial two-pass vs 4-thread profile-sharing engine diverged";
     EXPECT_EQ(serial, fused1)
         << "serial two-pass vs single-thread fused sweep diverged";
     EXPECT_EQ(serial, fused4)

@@ -5,8 +5,8 @@
  * two-pass reference, EngineOptions::fromEnv() must resolve (and
  * reject) environment knobs exactly like the engine constructor,
  * empty batches and zero-instruction budgets must complete cleanly,
- * and concurrent submitters hitting the same CaptureKey must dedup
- * through the RunCache.
+ * concurrent submitters hitting the same CaptureKey must dedup
+ * through the RunCache, and an invalid handle must fail cleanly.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -160,6 +161,18 @@ TEST(EngineApi, CancelUnqueuesPendingRequest)
     EXPECT_EQ(engine.inflight(), 0u);
 }
 
+TEST(EngineApi, DefaultConstructedHandleFailsCleanly)
+{
+    // A handle that was never issued by an engine has no state: every
+    // accessor must report that instead of dereferencing null.
+    RequestHandle handle;
+    EXPECT_FALSE(handle.valid());
+    EXPECT_EQ(handle.id(), 0u);
+    EXPECT_EQ(handle.status(), RequestStatus::Cancelled);
+    EXPECT_FALSE(handle.cancel());
+    EXPECT_THROW(handle.wait(), std::logic_error);
+}
+
 TEST(EngineApi, CoalescedFollowerReportsOwnQueueInterval)
 {
     // Queue-window coalescing claims a leader plus every pending
@@ -206,13 +219,12 @@ TEST(EngineApi, CoalescedFollowerReportsOwnQueueInterval)
 TEST(EngineApi, ConcurrentSubmittersDedupThroughRunCache)
 {
     // N client threads race identical and distinct CaptureKeys
-    // through submit(); the capture tier must simulate each distinct
-    // key exactly once, and every outcome must match the serial path
-    // byte-for-byte. Retention keeps captures across requests that
-    // don't overlap in flight.
+    // through submit(); every outcome must match the serial path
+    // byte-for-byte. A pass-1 profile is shared only while requests
+    // for its key overlap in flight, so how often a key is profiled
+    // depends on scheduling.
     EngineOptions opts;
     opts.threads = 4;
-    opts.captureRetentionBytes = 256ULL << 20;
     ExperimentEngine engine(opts);
     const Workload &w = findWorkload("li");
 
@@ -249,13 +261,14 @@ TEST(EngineApi, ConcurrentSubmittersDedupThroughRunCache)
     for (std::thread &t : clients)
         t.join();
 
-    // Dedup: 4 distinct CaptureKeys total (kBudget + 3 distinct),
-    // each simulated exactly once despite 16 submissions. Coalescing
-    // makes the capture-*lookup* count scheduling-dependent (one per
-    // claimed group), but the miss count is exact.
+    // 4 distinct CaptureKeys total (kBudget + 3 distinct), so at
+    // least 4 profiles ran; every claimed group (at most one per
+    // submission) looks its key up exactly once.
     const RunCache::Counters counters = engine.cache().counters();
-    EXPECT_EQ(counters.captureMisses, 4u);
-    EXPECT_LE(counters.captureHits, 2 * kClients - 4u);
+    EXPECT_GE(counters.captureMisses, 4u);
+    EXPECT_LE(counters.captureHits + counters.captureMisses,
+              2 * kClients);
+    EXPECT_EQ(engine.inflight(), 0u);
 
     // Byte-identical to the serial two-pass path, per key.
     const std::string refShared = fingerprint(
@@ -283,8 +296,6 @@ TEST(EngineApi, FromEnvResolvesKnobsAndShieldsExplicitFields)
     EXPECT_EQ(resolved.threads, 3u);
     ASSERT_TRUE(resolved.fused.has_value());
     EXPECT_FALSE(*resolved.fused);
-    ASSERT_TRUE(resolved.replay.has_value());
-    EXPECT_TRUE(*resolved.replay); // Documented default.
 
     // An explicit field wins and its variable is not even parsed.
     ASSERT_EQ(setenv("PPM_THREADS", "garbage", 1), 0);
@@ -313,10 +324,6 @@ TEST(EngineApi, FromEnvFailsLoudlyOnMalformedValues)
                   std::string::npos);
     }
     unsetenv("PPM_THREADS");
-
-    ASSERT_EQ(setenv("PPM_REPLAY", "maybe", 1), 0);
-    EXPECT_THROW((void)EngineOptions::fromEnv(), EnvError);
-    unsetenv("PPM_REPLAY");
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Fused-sweep tests: N predictor cells sharing one (program, input,
- * budget) capture run as lanes of a single pass (runner/fused_sink.hh)
+ * budget) key run as lanes of a single pass (runner/fused_sink.hh)
  * and must stay byte-identical to the sequential per-cell path. Also
  * pins the coalescing rules — different budgets never coalesce, a
  * RunCache hit on the group's key skips no lane — and the stage-timing
@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,7 +24,6 @@
 #include "runner/fused_sink.hh"
 #include "runner/run_cache.hh"
 #include "runner/stage_report.hh"
-#include "runner/trace_buffer.hh"
 #include "sim/machine.hh"
 #include "support/env.hh"
 #include "workloads/workload.hh"
@@ -96,7 +97,6 @@ TEST(FusedSink, SimulatorFeedsEveryLaneThroughStaging)
         sink.addLane(
             std::make_unique<DpgAnalyzer>(prog, profile, cfg));
     }
-    EXPECT_TRUE(sink.prefersBlocks());
     {
         Machine m(prog, input);
         m.run(&sink, kBudget);
@@ -111,8 +111,19 @@ TEST(FusedSink, SimulatorFeedsEveryLaneThroughStaging)
     }
 }
 
-// The same sink fed from a captured trace (block delivery): identical
-// output again, and per-lane seconds accumulate.
+/** Records a live stream for block-wise feeding. */
+class StreamRecorder : public TraceSink
+{
+  public:
+    void onInstr(const DynInstr &di) override { stream.push_back(di); }
+
+    std::vector<DynInstr> stream;
+};
+
+// The same sink fed from a recorded stream in producer-sized blocks,
+// with single instructions mixed in between (the staged singles must
+// drain first): identical output again, and per-lane seconds
+// accumulate.
 TEST(FusedSink, ReplayFeedsEveryLaneBlockwise)
 {
     const Workload &w = findWorkload("gcc");
@@ -120,14 +131,16 @@ TEST(FusedSink, ReplayFeedsEveryLaneBlockwise)
     const auto input = w.makeInput(kDefaultWorkloadSeed);
 
     ExecProfile profile(prog.textSize());
-    TraceCapture capture(prog, 256ULL * 1024 * 1024);
     {
-        TeeSink tee({&profile, &capture});
         Machine m(prog, input);
-        m.run(&tee, kBudget);
+        m.run(&profile, kBudget);
     }
-    const auto trace = capture.take();
-    ASSERT_NE(trace, nullptr);
+    StreamRecorder recorder;
+    {
+        Machine m(prog, input);
+        m.run(&recorder, kBudget);
+    }
+    ASSERT_EQ(recorder.stream.size(), profile.total());
 
     FusedAnalysisSink sink;
     for (PredictorKind kind : allKinds()) {
@@ -136,7 +149,15 @@ TEST(FusedSink, ReplayFeedsEveryLaneBlockwise)
         sink.addLane(
             std::make_unique<DpgAnalyzer>(prog, profile, cfg));
     }
-    trace->replay(prog, sink);
+    const std::span<const DynInstr> all(recorder.stream);
+    constexpr std::size_t kBlock = 300; // Not a multiple of staging.
+    for (std::size_t i = 0; i < all.size();) {
+        sink.onInstr(all[i++]);
+        const std::size_t n = std::min(kBlock, all.size() - i);
+        sink.onBlock(all.subspan(i, n));
+        i += n;
+    }
+    sink.onRunEnd();
 
     for (std::size_t i = 0; i < allKinds().size(); ++i) {
         EXPECT_GE(sink.laneSeconds(i), 0.0);
@@ -158,7 +179,6 @@ TEST(FusedEngine, MatchesSequentialPerCell)
     auto runWith = [&](bool fused) {
         EngineOptions opts;
         opts.threads = 2;
-        opts.replay = true;
         opts.fused = fused;
         ExperimentEngine engine(opts);
         std::vector<ExperimentJob> jobs;
@@ -183,7 +203,6 @@ TEST(FusedEngine, MatchesSequentialPerCell)
             << "cell " << i;
         EXPECT_EQ(fused[i].timing.laneIndex, i % allKinds().size())
             << "cell " << i;
-        EXPECT_TRUE(fused[i].timing.replayed) << "cell " << i;
     }
 }
 
@@ -194,7 +213,6 @@ TEST(FusedEngine, DifferentBudgetsDoNotCoalesce)
 {
     EngineOptions opts;
     opts.threads = 1;
-    opts.replay = true;
     opts.fused = true;
     ExperimentEngine engine(opts);
 
@@ -232,7 +250,6 @@ TEST(FusedEngine, MixedBudgetsSplitIntoCorrectGroups)
 {
     EngineOptions opts;
     opts.threads = 1;
-    opts.replay = true;
     opts.fused = true;
     ExperimentEngine engine(opts);
 
@@ -267,14 +284,14 @@ TEST(FusedEngine, MixedBudgetsSplitIntoCorrectGroups)
 }
 
 // Coalescing rule: a RunCache hit on the group's key must not skip
-// any lane. Pre-warm the capture through the cache, then run the
-// matrix — the fused pass reuses the capture (one hit, no new
-// simulation) yet every lane still produces its full statistics.
+// any lane. Pre-warm the pass-1 profile through the cache, then run
+// the matrix — the fused pass reuses the profile (one hit, no new
+// pass-1 simulation) yet every lane still produces its full
+// statistics.
 TEST(FusedEngine, RunCacheHitSkipsNoLane)
 {
     EngineOptions opts;
     opts.threads = 1;
-    opts.replay = true;
     opts.fused = true;
     ExperimentEngine engine(opts);
 
@@ -283,8 +300,8 @@ TEST(FusedEngine, RunCacheHitSkipsNoLane)
     for (PredictorKind kind : allKinds())
         jobs.push_back(engine.makeJob(w, cellConfig(kind)));
 
-    // Seed the capture cache with the group's key, exactly as the
-    // engine would compute it.
+    // Seed the cache with the group's key, exactly as the engine
+    // would compute it.
     const ExperimentJob &lead = jobs.front();
     const CaptureKey key{lead.program.get(), hashInput(*lead.input),
                          lead.config.maxInstrs};
@@ -292,11 +309,8 @@ TEST(FusedEngine, RunCacheHitSkipsNoLane)
         CaptureResult r;
         r.profile =
             std::make_unique<ExecProfile>(lead.program->textSize());
-        TraceCapture capture(*lead.program, engine.traceByteCap());
-        TeeSink tee({r.profile.get(), &capture});
         Machine m(*lead.program, *lead.input);
-        m.run(&tee, lead.config.maxInstrs);
-        r.trace = capture.take();
+        m.run(r.profile.get(), lead.config.maxInstrs);
         r.dynInstrs = r.profile->total();
         return r;
     });
@@ -304,7 +318,7 @@ TEST(FusedEngine, RunCacheHitSkipsNoLane)
 
     const auto outcomes = engine.run(jobs);
     ASSERT_EQ(outcomes.size(), allKinds().size());
-    // The fused pass hit the pre-warmed capture: no second simulation.
+    // The fused pass hit the pre-warmed profile: no second pass 1.
     EXPECT_EQ(engine.cache().counters().captureMisses, 1u);
     EXPECT_EQ(engine.cache().counters().captureHits, 1u);
     EXPECT_TRUE(outcomes[0].timing.captureShared);
@@ -317,43 +331,12 @@ TEST(FusedEngine, RunCacheHitSkipsNoLane)
     }
 }
 
-// Capture overflow: the fused pass falls back to ONE re-simulation
-// feeding all lanes (not one per lane), still matching the reference.
-TEST(FusedEngine, OverflowFallbackResimulatesOnceForAllLanes)
-{
-    EngineOptions opts;
-    opts.threads = 1;
-    opts.traceByteCap = 4096;  // Far below any real run.
-    opts.replay = true;
-    opts.fused = true;
-    ExperimentEngine engine(opts);
-
-    const Workload &w = findWorkload("gcc");
-    std::vector<ExperimentJob> jobs;
-    for (PredictorKind kind : allKinds())
-        jobs.push_back(engine.makeJob(w, cellConfig(kind)));
-
-    const auto outcomes = engine.run(jobs);
-    ASSERT_EQ(outcomes.size(), allKinds().size());
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        EXPECT_TRUE(outcomes[i].timing.fused) << "cell " << i;
-        EXPECT_FALSE(outcomes[i].timing.replayed) << "cell " << i;
-        EXPECT_EQ(fingerprint(outcomes[i].stats),
-                  fingerprint(referenceStats(
-                      w, cellConfig(allKinds()[i]))))
-            << "cell " << i;
-    }
-    // One overflowed capture lookup for the whole group.
-    EXPECT_EQ(engine.cache().counters().captureMisses, 1u);
-}
-
 // Stage-timing attribution: per-lane analyze time is separate from
 // the shared stream cost, which lane 0 carries exactly once.
 TEST(FusedEngine, SharedStageTimingCountedOnce)
 {
     EngineOptions opts;
     opts.threads = 1;
-    opts.replay = true;
     opts.fused = true;
     ExperimentEngine engine(opts);
 
@@ -380,8 +363,8 @@ TEST(FusedEngine, SharedStageTimingCountedOnce)
     EXPECT_NE(doc.find("\"shared_stages\":{"), std::string::npos);
     EXPECT_NE(doc.find("\"fused_groups\":1"), std::string::npos);
     EXPECT_NE(doc.find("\"fused_lanes\":3"), std::string::npos);
-    // One replay pass for the whole group, not one per lane.
-    EXPECT_NE(doc.find("\"replay_passes\":1"), std::string::npos);
+    // One pass-1 simulation for the whole group, not one per lane.
+    EXPECT_NE(doc.find("\"simulations\":1"), std::string::npos);
     EXPECT_NE(doc.find("\"fused\":true"), std::string::npos);
 }
 

@@ -3,8 +3,8 @@
  * Cross-path fingerprint parity: the canonical fingerprint JSON of a
  * sampled set of fuzz-farm programs must be byte-identical whether
  * the stats come from the serial two-pass reference, the
- * single-thread replay engine, the 4-thread cache-shared replay
- * engine, or the fused single-pass sweep. This is the corpus-level
+ * single-thread engine, the 4-thread profile-sharing engine, or the
+ * fused single-pass sweep. This is the corpus-level
  * analog of test_crosspath.cc: if any execution path perturbs a
  * single counter, the fingerprint string diffs.
  */
@@ -57,7 +57,7 @@ serialFingerprint(const char *familyName, std::uint64_t seed)
         std::string("family:") + familyName, seed, runs);
 }
 
-/** Paths (b)-(d): the replay engine, sequential or fused. */
+/** Paths (b)-(d): the engine, sequential or fused. */
 std::string
 engineFingerprint(const char *familyName, std::uint64_t seed,
                   unsigned threads, bool fused)
@@ -69,7 +69,6 @@ engineFingerprint(const char *familyName, std::uint64_t seed,
 
     EngineOptions opts;
     opts.threads = threads;
-    opts.replay = true;
     opts.fused = fused;
     ExperimentEngine engine(opts);
 
@@ -98,10 +97,10 @@ TEST(FuzzCrossPath, FingerprintsByteIdenticalAcrossPaths)
             serialFingerprint(familyName, seed);
         EXPECT_EQ(serial,
                   engineFingerprint(familyName, seed, 1, false))
-            << "serial vs single-thread replay diverged";
+            << "serial vs single-thread engine diverged";
         EXPECT_EQ(serial,
                   engineFingerprint(familyName, seed, 4, false))
-            << "serial vs 4-thread replay diverged";
+            << "serial vs 4-thread engine diverged";
         EXPECT_EQ(serial,
                   engineFingerprint(familyName, seed, 4, true))
             << "serial vs 4-thread fused sweep diverged";

@@ -2,8 +2,8 @@
  * @file
  * Intra-run pipeline tests: PPM_INTRA_THREADS ∈ {2, 4, 8} must agree
  * byte-for-byte with the serial analyzer on every predictor kind —
- * through the engine's replay path, the re-simulation fallback, and
- * the fused multi-lane pass — including zero-instruction budgets and
+ * through the engine's single-cell path and the fused multi-lane
+ * pass — including zero-instruction budgets and
  * runs whose final block is partial. Differential verification must
  * keep the serial analyzer (and the pipeline must reject a verify
  * config outright).
@@ -88,9 +88,8 @@ TEST(IntraRun, ByteIdenticalAcrossThreadCounts)
 
 TEST(IntraRun, ByteIdenticalOnResimulationFallback)
 {
-    // PPM_REPLAY=0 feeds the pipeline through Machine::run instead of
-    // trace replay, exercising whichever staging path the simulator
-    // picks for a block-preferring sink.
+    // Machine::run feeds the pipeline one instruction at a time, so
+    // this exercises its own staging on a larger workload.
     const Workload &w = findWorkload("m88ksim");
     const ExperimentConfig config =
         cellConfig(PredictorKind::Stride2Delta);
@@ -100,7 +99,6 @@ TEST(IntraRun, ByteIdenticalOnResimulationFallback)
     opts.threads = 1;
     opts.intraThreads = 4;
     opts.fused = false;
-    opts.replay = false;
     ExperimentEngine engine(opts);
     auto outs = engine.run({engine.makeJob(w, config)});
     EXPECT_EQ(fingerprint(outs.at(0).stats), serial);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -37,6 +38,13 @@ struct AluCase
     std::uint64_t expect;
 };
 
+/** Prints the case by value ("add(2, 3) = 5"), not as raw bytes. */
+void
+PrintTo(const AluCase &c, std::ostream *os)
+{
+    *os << c.op << "(" << c.a << ", " << c.b << ") = " << c.expect;
+}
+
 class AluTest : public ::testing::TestWithParam<AluCase>
 {
 };
@@ -50,6 +58,25 @@ TEST_P(AluTest, ComputesExpected)
     Machine m = runToHalt(src);
     EXPECT_EQ(m.reg(6), c.expect)
         << c.op << " " << c.a << ", " << c.b;
+}
+
+/** Operand as a test-name token: '-' is not allowed, so -7 -> m7. */
+std::string
+nameOperand(std::int64_t v)
+{
+    return v < 0 ? "m" + std::to_string(v).substr(1) : std::to_string(v);
+}
+
+/**
+ * Case names built from the case itself ("div_m7_2"), so the names do
+ * not depend on where the op strings happen to be loaded.
+ */
+std::string
+aluCaseName(const ::testing::TestParamInfo<AluCase> &info)
+{
+    const AluCase &c = info.param;
+    return std::string(c.op) + "_" + nameOperand(c.a) + "_" +
+           nameOperand(c.b);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -79,7 +106,8 @@ INSTANTIATE_TEST_SUITE_P(
         AluCase{"slt", 1, 0, 0},
         AluCase{"sltu", -1, 0, 0}, // unsigned: ~0 is huge
         AluCase{"seq", 5, 5, 1},
-        AluCase{"sne", 5, 5, 0}));
+        AluCase{"sne", 5, 5, 0}),
+    aluCaseName);
 
 struct FpCase
 {
@@ -88,6 +116,12 @@ struct FpCase
     double b;
     double expect;
 };
+
+void
+PrintTo(const FpCase &c, std::ostream *os)
+{
+    *os << c.op << "(" << c.a << ", " << c.b << ") = " << c.expect;
+}
 
 class FpTest : public ::testing::TestWithParam<FpCase>
 {
@@ -103,6 +137,15 @@ TEST_P(FpTest, ComputesExpected)
     EXPECT_DOUBLE_EQ(std::bit_cast<double>(m.reg(35)), c.expect);
 }
 
+/** Each FP op appears once, so its name ("fadd_d") names the case. */
+std::string
+fpCaseName(const ::testing::TestParamInfo<FpCase> &info)
+{
+    std::string name = info.param.op;
+    std::replace(name.begin(), name.end(), '.', '_');
+    return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     FpOps, FpTest,
     ::testing::Values(FpCase{"fadd.d", 1.5, 2.25, 3.75},
@@ -114,7 +157,8 @@ INSTANTIATE_TEST_SUITE_P(
                       FpCase{"fle.d", 2.0, 2.0,
                              std::bit_cast<double>(Value(1))},
                       FpCase{"feq.d", 2.0, 3.0,
-                             std::bit_cast<double>(Value(0))}));
+                             std::bit_cast<double>(Value(0))}),
+    fpCaseName);
 
 TEST(MachineFp, UnaryOps)
 {

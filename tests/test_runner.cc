@@ -1,18 +1,15 @@
 /**
  * @file
- * Experiment-engine tests: the parallel captured-trace replay path
- * must be bit-identical to the serial two-pass reference (runModel),
- * the memory-cap fallback must transparently degrade to two-pass
- * mode, captures must be shared across predictor configs, and
- * results must come back in submission order.
+ * Experiment-engine tests: the parallel engine must be bit-identical
+ * to the serial two-pass reference (runModel), pass-1 profiles must
+ * be shared across predictor configs, and results must come back in
+ * submission order.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <mutex>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "analysis/experiment.hh"
@@ -21,9 +18,7 @@
 #include "runner/engine.hh"
 #include "runner/run_cache.hh"
 #include "runner/stage_report.hh"
-#include "runner/trace_buffer.hh"
 #include "support/env.hh"
-#include "sim/machine.hh"
 #include "workloads/workload.hh"
 
 namespace ppm {
@@ -64,133 +59,10 @@ cellConfig(PredictorKind kind)
     return config;
 }
 
-/** Records the full DynInstr stream for field-level comparison. */
-class StreamRecorder : public TraceSink
-{
-  public:
-    struct Entry
-    {
-        DynInstr di;
-    };
-
-    void
-    onInstr(const DynInstr &di) override
-    {
-        entries.push_back({di});
-    }
-
-    void
-    onRunEnd() override
-    {
-        ++runEnds;
-    }
-
-    std::vector<Entry> entries;
-    int runEnds = 0;
-};
-
-void
-expectSameStream(const StreamRecorder &a, const StreamRecorder &b)
-{
-    ASSERT_EQ(a.entries.size(), b.entries.size());
-    for (std::size_t i = 0; i < a.entries.size(); ++i) {
-        const DynInstr &x = a.entries[i].di;
-        const DynInstr &y = b.entries[i].di;
-        ASSERT_EQ(x.seq, y.seq) << "at record " << i;
-        ASSERT_EQ(x.pc, y.pc) << "at record " << i;
-        ASSERT_EQ(x.instr, y.instr) << "at record " << i;
-        ASSERT_EQ(x.numInputs, y.numInputs) << "at record " << i;
-        for (unsigned k = 0; k < x.numInputs; ++k) {
-            ASSERT_EQ(x.inputs[k].kind, y.inputs[k].kind);
-            ASSERT_EQ(x.inputs[k].value, y.inputs[k].value);
-            ASSERT_EQ(x.inputs[k].reg, y.inputs[k].reg);
-            ASSERT_EQ(x.inputs[k].addr, y.inputs[k].addr);
-        }
-        ASSERT_EQ(x.hasRegOutput, y.hasRegOutput);
-        ASSERT_EQ(x.outReg, y.outReg);
-        ASSERT_EQ(x.hasMemOutput, y.hasMemOutput);
-        ASSERT_EQ(x.outAddr, y.outAddr);
-        ASSERT_EQ(x.outValue, y.outValue);
-        ASSERT_EQ(x.outputIsData, y.outputIsData);
-        ASSERT_EQ(x.isPassThrough, y.isPassThrough);
-        ASSERT_EQ(x.passSlot, y.passSlot);
-        ASSERT_EQ(x.isBranch, y.isBranch);
-        ASSERT_EQ(x.taken, y.taken);
-        ASSERT_EQ(x.isJump, y.isJump);
-    }
-}
-
-TEST(TeeSink, FansOutToEverySink)
-{
-    const Program prog = assemble("li $4, 7\nnop\nhalt\n", "tee");
-    StreamRecorder a, b;
-    TeeSink tee({&a, &b});
-    Machine m(prog);
-    m.run(&tee, 100);
-    EXPECT_EQ(a.entries.size(), 3u);
-    EXPECT_EQ(a.runEnds, 1);
-    EXPECT_EQ(b.runEnds, 1);
-    expectSameStream(a, b);
-}
-
-TEST(CapturedTrace, ReplayMatchesLiveStream)
-{
-    const Workload &w = findWorkload("compress");
-    const Program prog = assemble(std::string(w.source), w.name);
-    const auto input = w.makeInput(kDefaultWorkloadSeed);
-
-    StreamRecorder live;
-    TraceCapture capture(prog, 1ULL << 30);
-    TeeSink tee({&live, &capture});
-    Machine m(prog, input);
-    m.run(&tee, 20'000);
-    ASSERT_FALSE(capture.overflowed());
-
-    const auto trace = capture.take();
-    ASSERT_NE(trace, nullptr);
-    EXPECT_EQ(trace->size(), live.entries.size());
-    EXPECT_GT(trace->memoryBytes(), 0u);
-
-    StreamRecorder replayed;
-    EXPECT_EQ(trace->replay(prog, replayed), trace->size());
-    EXPECT_EQ(replayed.runEnds, 1);
-    expectSameStream(live, replayed);
-}
-
-TEST(CapturedTrace, OverflowDropsBufferAndKeepsProfileIntact)
-{
-    const Workload &w = findWorkload("compress");
-    const Program prog = assemble(std::string(w.source), w.name);
-
-    ExecProfile profile(prog.textSize());
-    TraceCapture capture(prog, /*byte_cap=*/1024);
-    TeeSink tee({&profile, &capture});
-    Machine m(prog, w.makeInput(kDefaultWorkloadSeed));
-    m.run(&tee, 20'000);
-
-    EXPECT_TRUE(capture.overflowed());
-    EXPECT_EQ(capture.take(), nullptr);
-    // The tee kept profiling after the capture gave up.
-    EXPECT_EQ(profile.total(), 20'000u);
-}
-
-TEST(CapturedTrace, ReplayRejectsWrongProgram)
-{
-    const Program prog = assemble("nop\nhalt\n", "a");
-    TraceCapture capture(prog, 1ULL << 20);
-    Machine m(prog);
-    m.run(&capture, 10);
-    const auto trace = capture.take();
-    ASSERT_NE(trace, nullptr);
-
-    const Program other = assemble("nop\nnop\nhalt\n", "b");
-    StreamRecorder sink;
-    EXPECT_THROW(trace->replay(other, sink), std::runtime_error);
-}
-
-// The determinism contract: parallel scheduling + captured-trace
-// replay is bit-identical to the serial two-pass reference, across
-// workloads (incl. FP) and every predictor kind.
+// The determinism contract: parallel scheduling with a shared pass-1
+// profile and a re-simulated pass 2 is bit-identical to the serial
+// two-pass reference, across workloads (incl. FP) and every predictor
+// kind.
 TEST(ExperimentEngine, ParallelReplayMatchesSerialReference)
 {
     const std::vector<const char *> names = {"compress", "gcc",
@@ -198,7 +70,6 @@ TEST(ExperimentEngine, ParallelReplayMatchesSerialReference)
 
     EngineOptions opts;
     opts.threads = 3;
-    opts.replay = true;
     ExperimentEngine engine(opts);
 
     std::vector<ExperimentJob> jobs;
@@ -215,8 +86,6 @@ TEST(ExperimentEngine, ParallelReplayMatchesSerialReference)
         for (PredictorKind kind : kAllPredictorKinds) {
             const DpgStats ref =
                 referenceStats(findWorkload(name), cellConfig(kind));
-            EXPECT_TRUE(outcomes[i].timing.replayed)
-                << name << " cell " << i;
             EXPECT_EQ(fingerprint(outcomes[i].stats),
                       fingerprint(ref))
                 << name << " cell " << i;
@@ -225,37 +94,10 @@ TEST(ExperimentEngine, ParallelReplayMatchesSerialReference)
     }
 }
 
-// Memory-cap fallback: a run exceeding the trace cap transparently
-// degrades to two-pass mode and still matches the reference.
-TEST(ExperimentEngine, TraceCapFallbackMatchesReference)
-{
-    EngineOptions opts;
-    opts.threads = 2;
-    opts.traceByteCap = 4096;  // Far below any real run.
-    opts.replay = true;
-    ExperimentEngine engine(opts);
-
-    const Workload &w = findWorkload("gcc");
-    std::vector<ExperimentJob> jobs;
-    for (PredictorKind kind : kAllPredictorKinds)
-        jobs.push_back(engine.makeJob(w, cellConfig(kind)));
-
-    const auto outcomes = engine.run(jobs);
-    std::size_t i = 0;
-    for (PredictorKind kind : kAllPredictorKinds) {
-        EXPECT_FALSE(outcomes[i].timing.replayed) << "cell " << i;
-        EXPECT_EQ(fingerprint(outcomes[i].stats),
-                  fingerprint(referenceStats(w, cellConfig(kind))))
-            << "cell " << i;
-        ++i;
-    }
-}
-
 TEST(ExperimentEngine, CaptureSharedAcrossPredictorConfigs)
 {
     EngineOptions opts;
     opts.threads = 1;  // Serialize so hit accounting is exact.
-    opts.replay = true;
     // Sequential scheduling: this test pins the per-cell cache hit
     // accounting. The fused path's one-lookup-per-group accounting is
     // pinned in tests/test_fused.cc.
@@ -312,7 +154,6 @@ TEST(ExperimentEngine, ManyDistinctCaptureKeysStayStable)
 {
     EngineOptions opts;
     opts.threads = 4;
-    opts.replay = true;
     ExperimentEngine engine(opts);
 
     const Workload &w = findWorkload("compress");
@@ -385,10 +226,6 @@ TEST(ExperimentEngine, MalformedEnvFailsLoudly)
     ASSERT_EQ(setenv("PPM_THREADS", "0", 1), 0);
     EXPECT_THROW(ExperimentEngine{}, EnvError);  // Below min (1).
     unsetenv("PPM_THREADS");
-
-    ASSERT_EQ(setenv("PPM_REPLAY", "maybe", 1), 0);
-    EXPECT_THROW(ExperimentEngine{}, EnvError);
-    unsetenv("PPM_REPLAY");
 }
 
 TEST(RunCache, HashCollisionReturnsRightProgram)
@@ -419,72 +256,6 @@ TEST(RunCache, HashCollisionReturnsRightProgram)
     EXPECT_EQ(counters.programMisses, 1u);
     EXPECT_EQ(counters.programCollisions, 1u);
     EXPECT_EQ(counters.programHits, 1u);
-}
-
-// The memory-cap boundary: a cap equal to the final footprint keeps
-// the capture; one byte less trips the overflow on the very last
-// record. Both settings must produce bit-identical results to the
-// serial reference, serially and multi-threaded.
-TEST(ExperimentEngine, TraceCapBoundaryIsExact)
-{
-    const Workload &w = findWorkload("compress");
-    constexpr std::uint64_t budget = 5'000;
-
-    // Measure the exact footprint of this cell's capture.
-    const Program prog = assemble(std::string(w.source), w.name);
-    TraceCapture capture(prog, /*byte_cap=*/1ULL << 30);
-    Machine m(prog, w.makeInput(kDefaultWorkloadSeed));
-    m.run(&capture, budget);
-    ASSERT_FALSE(capture.overflowed());
-    const auto trace = capture.take();
-    ASSERT_NE(trace, nullptr);
-    const std::uint64_t footprint = trace->memoryBytes();
-    ASSERT_GT(footprint, 0u);
-
-    ExperimentConfig config;
-    config.maxInstrs = budget;
-    config.dpg.kind = PredictorKind::Stride2Delta;
-    const DpgStats ref = runModel(
-        prog, w.makeInput(kDefaultWorkloadSeed), config);
-
-    for (const unsigned threads : {1u, 4u}) {
-        for (const std::uint64_t cap : {footprint, footprint - 1}) {
-            EngineOptions opts;
-            opts.threads = threads;
-            opts.traceByteCap = cap;
-            opts.replay = true;
-            ExperimentEngine engine(opts);
-            const auto outcomes =
-                engine.run({engine.makeJob(w, config)});
-            ASSERT_EQ(outcomes.size(), 1u);
-            // Exactly at the footprint: fits, so the replay path runs.
-            // One byte below: overflow on the last record, two-pass
-            // fallback.
-            EXPECT_EQ(outcomes[0].timing.replayed, cap == footprint)
-                << "cap=" << cap << " threads=" << threads;
-            EXPECT_EQ(fingerprint(outcomes[0].stats), fingerprint(ref))
-                << "cap=" << cap << " threads=" << threads;
-        }
-    }
-}
-
-TEST(ExperimentEngine, ReplayDisableForcesTwoPass)
-{
-    EngineOptions opts;
-    opts.threads = 1;
-    opts.replay = false;
-    ExperimentEngine engine(opts);
-
-    const Workload &w = findWorkload("compress");
-    const auto outcomes =
-        engine.run({engine.makeJob(
-            w, cellConfig(PredictorKind::LastValue))});
-    ASSERT_EQ(outcomes.size(), 1u);
-    EXPECT_FALSE(outcomes[0].timing.replayed);
-    EXPECT_EQ(
-        fingerprint(outcomes[0].stats),
-        fingerprint(referenceStats(
-            w, cellConfig(PredictorKind::LastValue))));
 }
 
 TEST(ExperimentEngine, StageReportCarriesSchemaAndTotals)
@@ -521,129 +292,6 @@ TEST(RunCache, HashInputSeparatesStreams)
     EXPECT_NE(hashInput(a), hashInput(b));
     EXPECT_EQ(hashInput(a), hashInput(w.makeInput(1)));
     EXPECT_NE(hashInput({}), hashInput({0}));
-}
-
-TEST(RunCache, RetainedHitPromotesCaptureOutOfRetentionTier)
-{
-    // A hit on a retained capture puts it back in flight: it must
-    // leave the retention tier entirely (bytes, LRU slot, retained
-    // entry), or a concurrent eviction scan can tear down the
-    // in-flight capture — forcing a recompute and double-counting
-    // capture_evictions against undercounted retained bytes.
-    RunCache cache;
-    // Trace-less results carry the 4096-byte bookkeeping overhead
-    // only, so one entry exactly fills the budget and any second
-    // retained entry forces an eviction — fully deterministic.
-    cache.setRetentionBytes(4096);
-    auto compute = [] {
-        CaptureResult r;
-        r.profile = std::make_unique<ExecProfile>(1);
-        return r;
-    };
-    int dummyA = 0;
-    int dummyB = 0; // Never dereferenced: keys carry identity only.
-    const CaptureKey k1{reinterpret_cast<const Program *>(&dummyA), 1,
-                        100};
-    const CaptureKey k2{reinterpret_cast<const Program *>(&dummyB), 2,
-                        100};
-
-    (void)cache.capture(k1, compute); // miss
-    cache.release(k1);
-    EXPECT_EQ(cache.retainedBytes(), 4096u);
-
-    // Back in flight: the retention tier must no longer account it.
-    const RunCache::CaptureRef ref1 = cache.capture(k1, compute);
-    EXPECT_TRUE(ref1.hit);
-    EXPECT_EQ(cache.retainedBytes(), 0u);
-
-    // A second key retires while k1 is in flight; it fits the budget
-    // alone, so nothing may be evicted — before the fix k1 was still
-    // on the LRU and this evicted the in-flight capture.
-    (void)cache.capture(k2, compute); // miss
-    cache.release(k2);
-    EXPECT_EQ(cache.retainedBytes(), 4096u);
-    EXPECT_EQ(cache.counters().captureEvictions, 0u);
-
-    // Still cached: re-requesting k1 must not recompute.
-    const RunCache::CaptureRef ref2 = cache.capture(k1, compute);
-    EXPECT_TRUE(ref2.hit);
-
-    // Final release re-retains k1; now two entries exceed the budget
-    // and exactly one eviction (the older k2) is counted.
-    cache.release(k1);
-    EXPECT_EQ(cache.retainedBytes(), 4096u);
-
-    const RunCache::Counters c = cache.counters();
-    EXPECT_EQ(c.captureMisses, 2u);
-    EXPECT_EQ(c.captureHits, 2u);
-    EXPECT_EQ(c.captureEvictions, 1u);
-}
-
-TEST(RunCache, RetentionAccountingSurvivesConcurrentHammer)
-{
-    // 8 client threads hammer an engine whose retention budget is far
-    // below a single capture, so every release triggers an eviction
-    // scan while other threads hold hits on the same keys. Outcomes
-    // must stay byte-identical and the byte accounting must come back
-    // exact once the engine drains.
-    EngineOptions opts;
-    opts.threads = 4;
-    opts.captureRetentionBytes = 4096;
-    ExperimentEngine engine(opts);
-    const Workload &w = findWorkload("compress");
-
-    constexpr unsigned kClients = 8;
-    constexpr unsigned kRounds = 4;
-    constexpr std::uint64_t budgets[] = {5'000, 10'000, 15'000};
-
-    std::mutex mu;
-    std::vector<std::pair<std::uint64_t, std::string>> fps;
-    std::vector<std::thread> clients;
-    for (unsigned c = 0; c < kClients; ++c) {
-        clients.emplace_back([&, c] {
-            for (unsigned r = 0; r < kRounds; ++r) {
-                const std::uint64_t budget =
-                    budgets[(c + r) % std::size(budgets)];
-                ExperimentConfig config;
-                config.maxInstrs = budget;
-                config.dpg.kind = PredictorKind::Context;
-                RequestHandle h =
-                    engine.submit({engine.makeJob(w, config)});
-                const std::string fp = fingerprint(h.wait().stats);
-                std::lock_guard<std::mutex> lock(mu);
-                fps.emplace_back(budget, fp);
-            }
-        });
-    }
-    for (std::thread &t : clients)
-        t.join();
-    ASSERT_EQ(fps.size(), kClients * kRounds);
-
-    // Correctness under eviction churn: every outcome matches the
-    // serial reference for its budget.
-    const Program prog = assemble(std::string(w.source), w.name);
-    const auto input = w.makeInput(kDefaultWorkloadSeed);
-    for (const std::uint64_t budget : budgets) {
-        ExperimentConfig config;
-        config.maxInstrs = budget;
-        config.dpg.kind = PredictorKind::Context;
-        const std::string ref =
-            fingerprint(runModel(prog, input, config));
-        for (const auto &[b, fp] : fps) {
-            if (b == budget) {
-                EXPECT_EQ(fp, ref) << "budget=" << budget;
-            }
-        }
-    }
-
-    // Every capture outweighs the 4 KiB budget, so a drained cache
-    // retains nothing — any residue is exactly the double-count /
-    // undercount drift the promote-on-hit fix closes (a u64
-    // underflow would show up as an astronomically large value).
-    EXPECT_EQ(engine.cache().retainedBytes(), 0u);
-    const RunCache::Counters c = engine.cache().counters();
-    EXPECT_LE(c.captureEvictions, c.captureMisses);
-    EXPECT_GE(c.captureEvictions, std::size(budgets));
 }
 
 } // namespace

@@ -295,8 +295,8 @@ TEST(ServeDaemon, SustainsManyConcurrentClients)
     server.start();
 
     // >= 32 concurrent clients with a mixed request diet: built-in
-    // workloads (identical cells -> retained-capture hits), fuzz
-    // families, and inline branch traces.
+    // workloads (identical cells), fuzz families, and inline branch
+    // traces.
     constexpr int kClients = 32;
     const std::string records = sampleRecords();
     std::mutex mu;
@@ -345,8 +345,10 @@ TEST(ServeDaemon, SustainsManyConcurrentClients)
     for (const std::string &status : statuses)
         EXPECT_EQ(status, "ok");
 
-    // The identical workload cells must have fed the memoization
-    // tier: the exported hit-rate is visible through `stats`.
+    // The profile cache's counters are exported through `stats`.
+    // Identical cells share a profile only while they overlap in
+    // flight, so the hit count depends on scheduling; the keys must
+    // be present and every analyze request looked its key up.
     Client client = Client::connectUnix(path);
     client.sendLine("{\"schema\":\"ppm-serve-v1\","
                     "\"kind\":\"stats\",\"id\":\"s\"}");
@@ -354,8 +356,11 @@ TEST(ServeDaemon, SustainsManyConcurrentClients)
     ASSERT_TRUE(statsLine.has_value());
     const JsonValue doc = parseJson(*statsLine);
     const JsonValue &cache = doc.at("stats").at("cache");
-    EXPECT_GT(cache.at("capture_hits").number, 0.0);
-    EXPECT_GT(cache.at("hit_rate_pct").number, 0.0);
+    for (const char *key :
+         {"capture_hits", "capture_misses", "hit_rate_pct"}) {
+        EXPECT_NE(cache.find(key), nullptr) << key;
+    }
+    EXPECT_GT(cache.at("capture_misses").number, 0.0);
     EXPECT_EQ(doc.at("stats").at("overloaded").number, 0.0);
 
     server.requestStop();

@@ -242,15 +242,9 @@ checkConsistency(const std::map<std::string, std::uint64_t> &spans,
              counterOr0(counters, "cache.capture_hits") +
                  counterOr0(counters, "cache.capture_misses"),
              passes);
-    // With PPM_REPLAY=0 neither counter moves (re-simulation is the
-    // chosen mode, not a fallback), so zero activity is the one legal
-    // shortfall; any nonzero total must cover every pass.
-    const std::uint64_t replayActivity =
-        counterOr0(counters, "runner.replays") +
-        counterOr0(counters, "runner.replay_fallbacks");
-    if (replayActivity != 0)
-        expectEq("replays + fallbacks == work passes", replayActivity,
-                 passes);
+    // Every work pass simulates its analysis stream exactly once.
+    expectEq("runner.resims == work passes",
+             counterOr0(counters, "runner.resims"), passes);
 
     for (const char *role : {"output", "input", "branch"}) {
         const std::string base = std::string("pred.") + role;

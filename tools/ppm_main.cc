@@ -123,7 +123,7 @@ usage(const std::string &message = "")
         "          [--threshold PCT] [--seed S]\n"
         "          [--out curves.json] [--csv curves.csv]\n"
         "  ppm serve (--socket PATH | --port N) [--max-inflight N]\n"
-        "          [--max N] [--cap N] [--retain-mb N]\n"
+        "          [--max N] [--cap N]\n"
         "  ppm client (--socket PATH | --port N) [file.s]\n"
         "          [--workload W | --family F | --trace-file T]\n"
         "          [--predictor all|last|stride|context] [--max N]\n"
@@ -344,8 +344,8 @@ cmdAnalyze(const CliArgs &args)
             runs.push_back(std::move(run));
         }
     } else {
-        // Live: the engine simulates once, captures the stream, and
-        // replays it for every requested predictor in parallel.
+        // Live: the engine profiles once and analyzes every
+        // requested predictor in one fused simulation pass.
         // (t.program stays valid for the report printers below.)
         auto program = std::make_shared<const Program>(t.program);
         auto input = std::make_shared<const std::vector<Value>>(
@@ -877,10 +877,6 @@ cmdServe(const CliArgs &args)
         opts.defaultMaxInstrs = static_cast<std::uint64_t>(*m);
     if (const auto m = args.intOption("cap"))
         opts.maxInstrsCap = static_cast<std::uint64_t>(*m);
-    if (const auto m = args.intOption("retain-mb")) {
-        opts.engine.captureRetentionBytes =
-            static_cast<std::uint64_t>(*m) << 20;
-    }
 
     serve::Server server(opts);
     server.start();
@@ -1034,7 +1030,7 @@ main(int argc, char **argv)
                         "input-file", "report", "window",
                         "save-trace", "trace-file", "families",
                         "seeds", "out", "socket", "port",
-                        "max-inflight", "cap", "retain-mb",
+                        "max-inflight", "cap",
                         "workload", "family", "json", "id",
                         "count", "budgets", "interval", "warmup",
                         "phases", "threshold", "csv"});
