@@ -12,7 +12,6 @@ file(REMOVE "${OUT}")
 
 execute_process(
     COMMAND ${CMAKE_COMMAND} -E env PPM_QUICK=1 PPM_THREADS=2
-            PPM_FUSED=1
             "PPM_BENCH_JSON=${OUT}" "PPM_BENCH_LABEL=bench_smoke"
             ${BENCH_BIN}
     RESULT_VARIABLE rv

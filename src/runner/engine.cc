@@ -8,7 +8,6 @@
 
 #include "obs/obs.hh"
 #include "runner/fused_sink.hh"
-#include "runner/intra_pipeline.hh"
 #include "runner/stage_report.hh"
 #include "sim/machine.hh"
 #include "support/env.hh"
@@ -93,8 +92,6 @@ EngineOptions::withEnvFallback() const
     }
     if (!o.verify.has_value())
         o.verify = envFlag("PPM_VERIFY", false);
-    if (!o.fused.has_value())
-        o.fused = envFlag("PPM_FUSED", true);
     if (!o.sample.has_value())
         o.sample = SampleOptions::fromEnv();
     return o;
@@ -191,7 +188,6 @@ ExperimentEngine::ExperimentEngine(const EngineOptions &opts)
     threads_ = resolved.threads;
     intraThreads_ = resolved.intraThreads;
     verify_ = *resolved.verify;
-    fused_ = *resolved.fused;
     sample_ = *resolved.sample;
 
     obsJobs_ = obs::counter("runner.jobs_completed");
@@ -267,181 +263,111 @@ ExperimentEngine::workloadMatrix(
     return jobs;
 }
 
-RunCache::CaptureRef
-ExperimentEngine::captureFor(const ExperimentJob &job)
-{
-    const Program &prog = *job.program;
-    return cache_.capture(keyOf(job), [&]() -> CaptureResult {
-        obs::Span span("simulate", "runner");
-        if (obsSimulations_)
-            obsSimulations_->add();
-        CaptureResult r;
-        const auto t0 = Clock::now();
-        r.profile = std::make_unique<ExecProfile>(prog.textSize());
-        Machine m(prog, *job.input);
-        m.run(r.profile.get(), job.config.maxInstrs);
-        r.dynInstrs = r.profile->total();
-        r.simulateSec = secondsSince(t0);
-        return r;
-    });
-}
-
-ExperimentOutcome
-ExperimentEngine::runJob(const ExperimentJob &job)
+std::vector<ExperimentOutcome>
+ExperimentEngine::runGroup(const std::vector<StatePtr> &group)
 {
     obs::Span job_span("job", "runner");
-    const Program &prog = *job.program;
-
-    RunCache::CaptureRef ref = captureFor(job);
-
-    ExperimentOutcome out;
-    out.isFloat = job.isFloat;
-    out.timing.assembleSec = job.assembleSec;
-    out.timing.simulateSec = ref.result->simulateSec;
-    out.timing.captureShared = ref.hit;
-    out.timing.dynInstrs = ref.result->dynInstrs;
-
-    const auto t1 = Clock::now();
-    obs::Span analyze_span("analyze", "runner");
-    DpgConfig dpg = job.config.dpg;
-    dpg.verify |= verify_;
-    // Differential verification audits the full per-instruction state
-    // and therefore keeps the serial analyzer regardless of
-    // PPM_INTRA_THREADS.
-    const bool intra = intraThreads_ > 1 && !dpg.verify;
-    auto feed = [&](TraceSink &sink) {
-        Machine m(prog, *job.input);
-        m.run(&sink, job.config.maxInstrs);
-        if (obsResims_)
-            obsResims_->add();
-    };
-    if (intra) {
-        IntraRunPipeline pipeline(prog, *ref.result->profile, dpg,
-                                  intraThreads_);
-        feed(pipeline);
-        out.stats = pipeline.takeStats();
-    } else {
-        DpgAnalyzer analyzer(prog, *ref.result->profile, dpg);
-        feed(analyzer);
-        out.stats = analyzer.takeStats();
-    }
-    out.timing.analyzeSec = secondsSince(t1);
-    return out;
-}
-
-std::vector<ExperimentOutcome>
-ExperimentEngine::runFusedJobs(
-    const std::vector<const ExperimentJob *> &group)
-{
-    obs::Span job_span("fused_job", "runner");
-    const ExperimentJob &lead = *group.front();
+    const ExperimentJob &lead = group.front()->job;
     const Program &prog = *lead.program;
 
-    // All lanes share one CaptureKey, so any member can run pass 1;
-    // a cache hit here (an overlapping request profiled this key)
-    // must not skip any lane — each still gets its own analyzer.
-    RunCache::CaptureRef ref = captureFor(lead);
-
-    FusedAnalysisSink sink(intraThreads_);
-    for (const ExperimentJob *job : group) {
-        DpgConfig dpg = job->config.dpg;
-        dpg.verify |= verify_;
-        sink.addLane(std::make_unique<DpgAnalyzer>(
-            prog, *ref.result->profile, dpg));
-    }
-
-    const auto t1 = Clock::now();
-    {
-        // One simulation feeds every lane, staging blocks inside the
-        // sink.
-        obs::Span span("fused_resim", "runner");
-        Machine m(prog, *lead.input);
-        m.run(&sink, lead.config.maxInstrs);
-        if (obsResims_)
-            obsResims_->add();
-    }
-    const double passSec = secondsSince(t1);
-
-    double laneSum = 0.0;
-    for (std::size_t i = 0; i < group.size(); ++i)
-        laneSum += sink.laneSeconds(i);
-
-    std::vector<ExperimentOutcome> outs(group.size());
-    for (std::size_t i = 0; i < group.size(); ++i) {
-        ExperimentOutcome &out = outs[i];
-        out.isFloat = group[i]->isFloat;
-        out.stats = sink.takeStats(i);
-        out.timing.assembleSec = group[i]->assembleSec;
-        out.timing.simulateSec = ref.result->simulateSec;
-        // Lane 0 stands for the cell that would have run pass 1;
-        // the rest are sharers, mirroring the sequential accounting.
-        out.timing.captureShared = i == 0 ? ref.hit : true;
-        out.timing.dynInstrs = ref.result->dynInstrs;
-        out.timing.analyzeSec = sink.laneSeconds(i);
-        out.timing.fused = true;
-        out.timing.fusedLanes = static_cast<unsigned>(group.size());
-        out.timing.laneIndex = static_cast<unsigned>(i);
-        if (i == 0) {
-            out.timing.dispatchSec =
-                passSec > laneSum ? passSec - laneSum : 0.0;
-        }
-    }
-
-    if (obsFusedGroups_)
-        obsFusedGroups_->add();
-    if (obsFusedLanes_)
-        obsFusedLanes_->add(group.size());
-    return outs;
-}
-
-std::vector<ExperimentOutcome>
-ExperimentEngine::runSampledJobs(
-    const std::vector<const ExperimentJob *> &group)
-{
-    obs::Span job_span("sampled_job", "runner");
-    const ExperimentJob &lead = *group.front();
-
-    // No RunCache entry: the profiling pass streams into checkpoints
-    // and interval signatures directly, and the measurement pass
-    // re-produces only the sampled sub-streams. runClaimed's
-    // unconditional key release is a no-op for never-cached keys.
     std::vector<DpgConfig> configs;
     configs.reserve(group.size());
-    for (const ExperimentJob *job : group)
-        configs.push_back(job->config.dpg);
+    for (const StatePtr &state : group) {
+        DpgConfig dpg = state->job.config.dpg;
+        dpg.verify |= verify_;
+        configs.push_back(dpg);
+    }
+    // Per-job verify requests (not just PPM_VERIFY) force the full
+    // path: differential verification needs the whole stream.
+    const bool sampled =
+        samplingEnabled() &&
+        std::none_of(configs.begin(), configs.end(),
+                     [](const DpgConfig &c) { return c.verify; });
 
-    if (obsSimulations_)
-        obsSimulations_->add();
-    SampledResult res =
-        runSampledAnalysis(*lead.program, *lead.input,
-                           lead.config.maxInstrs, configs, sample_,
-                           intraThreads_);
+    // Lane 0's timing: it stands for the cell that would have run
+    // pass 1 and carries the pass's shared costs (see
+    // StageTiming::dispatchSec); the other lanes copy it without them.
+    StageTiming lead0;
+    lead0.fused = group.size() > 1;
+    lead0.fusedLanes =
+        lead0.fused ? static_cast<unsigned>(group.size()) : 0;
+    LaneResults lanes;
+    if (sampled) {
+        // No RunCache entry: the profiling pass streams into
+        // checkpoints and interval signatures directly, and the
+        // measurement pass re-produces only the sampled sub-streams.
+        // runClaimed's unconditional key release is a no-op for
+        // never-cached keys.
+        if (obsSimulations_)
+            obsSimulations_->add();
+        SampledResult res =
+            runSampledAnalysis(prog, *lead.input, lead.config.maxInstrs,
+                               configs, sample_, intraThreads_);
+        lanes.stats = std::move(res.stats);
+        lanes.laneSeconds = std::move(res.laneSeconds);
+        lead0.simulateSec = res.timing.simulateSec;
+        lead0.dynInstrs = res.timing.dynInstrs;
+        lead0.sampled = true;
+        lead0.phases = res.timing.phases;
+        lead0.sampledInstrs = res.timing.sampledInstrs;
+        lead0.dispatchSec = res.timing.dispatchSec;
+        lead0.checkpointSec = res.timing.checkpointSec;
+        lead0.fastForwardSec = res.timing.fastForwardSec;
+    } else {
+        // Pass 1, once per in-flight CaptureKey. All lanes share the
+        // key, so any member can run it; a cache hit here (an
+        // overlapping request profiled this key) must not skip any
+        // lane — each still gets its own analyzer.
+        RunCache::CaptureRef ref =
+            cache_.capture(keyOf(lead), [&]() -> CaptureResult {
+                obs::Span span("simulate", "runner");
+                if (obsSimulations_)
+                    obsSimulations_->add();
+                CaptureResult r;
+                const auto t0 = Clock::now();
+                r.profile = std::make_unique<ExecProfile>(prog.textSize());
+                Machine m(prog, *lead.input);
+                m.run(r.profile.get(), lead.config.maxInstrs);
+                r.dynInstrs = r.profile->total();
+                r.simulateSec = secondsSince(t0);
+                return r;
+            });
+        {
+            obs::Span span("analyze", "runner");
+            lanes = analyzeLanes(
+                prog, *ref.result->profile, configs, intraThreads_,
+                [&](TraceSink &sink) {
+                    Machine m(prog, *lead.input);
+                    m.run(&sink, lead.config.maxInstrs);
+                });
+        }
+        if (obsResims_)
+            obsResims_->add();
+        lead0.captureShared = ref.hit;
+        lead0.simulateSec = ref.result->simulateSec;
+        lead0.dynInstrs = ref.result->dynInstrs;
+        // 0 for a 1-lane group, whose lane is the whole pass.
+        double laneSum = 0.0;
+        for (double sec : lanes.laneSeconds)
+            laneSum += sec;
+        lead0.dispatchSec =
+            lanes.passSec > laneSum ? lanes.passSec - laneSum : 0.0;
+    }
 
     std::vector<ExperimentOutcome> outs(group.size());
     for (std::size_t i = 0; i < group.size(); ++i) {
         ExperimentOutcome &out = outs[i];
-        out.isFloat = group[i]->isFloat;
-        out.stats = std::move(res.stats[i]);
-        out.timing.assembleSec = group[i]->assembleSec;
-        out.timing.simulateSec = res.timing.simulateSec;
-        out.timing.captureShared = i != 0;
-        out.timing.dynInstrs = res.timing.dynInstrs;
-        out.timing.analyzeSec = res.laneSeconds[i];
-        out.timing.sampled = true;
-        out.timing.phases = res.timing.phases;
-        out.timing.sampledInstrs = res.timing.sampledInstrs;
-        if (group.size() > 1) {
-            out.timing.fused = true;
-            out.timing.fusedLanes =
-                static_cast<unsigned>(group.size());
-            out.timing.laneIndex = static_cast<unsigned>(i);
-        }
-        if (i == 0) {
-            // Shared per-group costs live on lane 0, mirroring the
-            // fused accounting (see StageTiming::dispatchSec).
-            out.timing.checkpointSec = res.timing.checkpointSec;
-            out.timing.fastForwardSec = res.timing.fastForwardSec;
-            out.timing.dispatchSec = res.timing.dispatchSec;
+        out.isFloat = group[i]->job.isFloat;
+        out.stats = std::move(lanes.stats[i]);
+        out.timing = lead0;
+        out.timing.assembleSec = group[i]->job.assembleSec;
+        out.timing.analyzeSec = lanes.laneSeconds[i];
+        out.timing.laneIndex = static_cast<unsigned>(i);
+        if (i > 0) {
+            out.timing.captureShared = true;
+            out.timing.dispatchSec = 0.0;
+            out.timing.checkpointSec = 0.0;
+            out.timing.fastForwardSec = 0.0;
         }
     }
 
@@ -537,17 +463,15 @@ ExperimentEngine::claimLocked()
     std::vector<StatePtr> group;
     group.push_back(pending_.front());
     pending_.pop_front();
-    if (fused_) {
-        // The coalescing window: every still-pending request with the
-        // lead's CaptureKey joins this pass, in submission order.
-        const CaptureKey key = keyOf(group.front()->job);
-        for (auto it = pending_.begin(); it != pending_.end();) {
-            if (keyOf((*it)->job) == key) {
-                group.push_back(*it);
-                it = pending_.erase(it);
-            } else {
-                ++it;
-            }
+    // The coalescing window: every still-pending request with the
+    // lead's CaptureKey joins this pass, in submission order.
+    const CaptureKey key = keyOf(group.front()->job);
+    for (auto it = pending_.begin(); it != pending_.end();) {
+        if (keyOf((*it)->job) == key) {
+            group.push_back(*it);
+            it = pending_.erase(it);
+        } else {
+            ++it;
         }
     }
     const auto now = Clock::now();
@@ -568,31 +492,11 @@ ExperimentEngine::runClaimed(const std::vector<StatePtr> &group)
     const auto t0 = Clock::now();
     std::vector<ExperimentOutcome> outs;
     std::exception_ptr error;
-    // Per-job verify requests (not just PPM_VERIFY) also force the
-    // full path: differential verification needs the whole stream.
-    const bool anyVerify = std::any_of(
-        group.begin(), group.end(), [](const StatePtr &state) {
-            return state->job.config.dpg.verify;
-        });
     try {
-        if (samplingEnabled() && !anyVerify) {
-            std::vector<const ExperimentJob *> jobs;
-            jobs.reserve(group.size());
-            for (const StatePtr &state : group)
-                jobs.push_back(&state->job);
-            outs = runSampledJobs(jobs);
-        } else if (group.size() == 1) {
-            outs.push_back(runJob(group.front()->job));
-        } else {
-            std::vector<const ExperimentJob *> jobs;
-            jobs.reserve(group.size());
-            for (const StatePtr &state : group)
-                jobs.push_back(&state->job);
-            outs = runFusedJobs(jobs);
-        }
+        outs = runGroup(group);
     } catch (...) {
-        // A fused pass fails as a unit: every lane's cell reports the
-        // same exception.
+        // A pass fails as a unit: every lane's cell reports the same
+        // exception.
         error = std::current_exception();
     }
     const double busySec = secondsSince(t0);

@@ -22,8 +22,8 @@
  *   1. assembles the program once per process (RunCache),
  *   2. profiles once per in-flight (program, input, budget) — pass 1,
  *      shared by every cell of that key still in flight,
- *   3. simulates the deterministic stream again straight into the
- *      DpgAnalyzer — pass 2.
+ *   3. simulates the deterministic stream again into the model —
+ *      pass 2.
  *
  * Machine::run is the only stream source. An in-memory copy of pass
  * 1's stream for pass 2 cost 85-90 B per instruction, cut pass 1 from
@@ -31,23 +31,22 @@
  * largest workloads; the deterministic simulator reproduces the
  * stream exactly, so pass 2 simply runs it again (DESIGN.md Sec. 6).
  *
- * Fused sweeps (default; see fused_sink.hh and DESIGN.md Sec. 10/11):
- * when a worker claims the front of the pending queue it also claims
- * every other *pending* request sharing the same CaptureKey — same
+ * Lane groups (see fused_sink.hh and DESIGN.md Sec. 10/11): when a
+ * worker claims the front of the pending queue it also claims every
+ * other *pending* request sharing the same CaptureKey — same
  * (program, input, instruction budget), differing only in predictor
- * configuration — and analyzes the whole group in ONE pass: the
- * stream is simulated once and each block is dispatched to every
- * lane. The coalescing window is therefore the pending queue at
- * claim time: a batch enqueued atomically by run()/submitAll()
- * coalesces exactly as the old batch engine did, while a serve
- * daemon's requests coalesce opportunistically with whatever is
- * still queued. Cells with
+ * configuration — and analyzes the whole group in ONE pass through
+ * analyzeLanes(): the stream is simulated once and every lane sees
+ * it. A cell with no same-key partner is a 1-lane group. The
+ * coalescing window is therefore the pending queue at claim time: a
+ * batch enqueued atomically by run()/submitAll() coalesces exactly
+ * as one batch, while a serve daemon's requests coalesce
+ * opportunistically with whatever is still queued. Cells with
  * different budgets never coalesce because their CaptureKeys differ.
- * PPM_FUSED=0 restores one-pass-per-cell scheduling for bisection.
  *
  * Each cell's analysis is bit-identical to the serial two-pass
- * runModel() path because the simulator is deterministic and fused
- * lanes are fully independent (asserted in tests/test_runner.cc,
+ * runModel() path because the simulator is deterministic and lanes
+ * are fully independent (asserted in tests/test_runner.cc,
  * tests/test_fused.cc and tests/test_engine_api.cc).
  *
  * Pass-1 profiles are reference-counted across in-flight requests
@@ -58,13 +57,12 @@
  * EngineOptions::fromEnv()):
  *   PPM_THREADS       worker count (default: hardware concurrency)
  *   PPM_INTRA_THREADS threads per analysis run (default 1 = serial).
- *                     > 1 runs each cell through the intra-run
- *                     pipeline (runner/intra_pipeline.hh) — and lets
- *                     a fused pass dispatch its lanes in parallel —
- *                     with byte-identical output; ignored under
- *                     PPM_VERIFY (differential verification needs
- *                     the serial analyzer)
- *   PPM_FUSED=0       disable fused sweeps (one pass per cell)
+ *                     > 1 runs each 1-lane group through the
+ *                     intra-run pipeline (runner/intra_pipeline.hh)
+ *                     and lets a multi-lane pass dispatch its lanes
+ *                     in parallel, with byte-identical output;
+ *                     ignored under PPM_VERIFY (differential
+ *                     verification needs the serial analyzer)
  *   PPM_VERIFY=1      run every cell with differential verification:
  *                     oracle predictors in lockstep with pred/ plus
  *                     the DPG invariant audit (see src/verify/,
@@ -117,7 +115,7 @@ struct StageTiming
 {
     double assembleSec = 0.0;  ///< 0 when the program came from cache.
     double simulateSec = 0.0;  ///< Pass-1 profile (of the cell that ran it).
-    double analyzeSec = 0.0;   ///< Model pass (re-simulation + analysis).
+    double analyzeSec = 0.0;   ///< Model pass; see dispatchSec.
 
     /**
      * Always false: pass 2 always re-simulates. Kept because the
@@ -129,21 +127,21 @@ struct StageTiming
     /** The pass-1 profile came from the cache (another cell ran it). */
     bool captureShared = false;
 
-    /** This cell ran as one lane of a fused multi-cell pass. */
+    /** This cell ran as one lane of a multi-lane (fused) pass. */
     bool fused = false;
 
-    /** Lane count of the fused pass (0 when not fused). */
+    /** Lane count of the fused pass (0 for a 1-lane group). */
     unsigned fusedLanes = 0;
 
     /** This cell's lane index within the fused pass. */
     unsigned laneIndex = 0;
 
     /**
-     * Shared decode/staging cost of the fused pass (pass wall minus
-     * the per-lane analyze times), attributed once, on lane 0. For
-     * fused cells analyzeSec is the lane's own dispatch time only, so
-     * summing analyzeSec across lanes never double-counts the shared
-     * stream production (see stage_report.cc's shared_stages).
+     * Shared stream cost of a pass (pass wall minus the per-lane
+     * analyze times), attributed once, on lane 0. A lane's analyzeSec
+     * is its own time only — for a 1-lane group the whole pass, so
+     * its dispatchSec is 0 — and summing analyzeSec across lanes never
+     * double-counts stream production (see stage_report.cc).
      */
     double dispatchSec = 0.0;
 
@@ -210,14 +208,13 @@ struct EngineOptions
     /**
      * Threads devoted to a *single* analysis run (PPM_INTRA_THREADS;
      * default 1 = the serial analyzer). Values > 1 pipeline each
-     * cell's block dispatch across stages (predict / graph / arc
-     * shards — see runner/intra_pipeline.hh) and let fused passes
-     * dispatch lanes in parallel; output stays byte-identical.
+     * 1-lane group's block dispatch across stages (predict / graph /
+     * arc shards — see runner/intra_pipeline.hh) and let multi-lane
+     * passes dispatch lanes in parallel; output stays byte-identical.
      */
     unsigned intraThreads = 0;
 
     std::optional<bool> verify;
-    std::optional<bool> fused;
 
     /**
      * Phase-sampling knobs; nullopt defers to PPM_SAMPLE (see
@@ -230,7 +227,7 @@ struct EngineOptions
 
     /**
      * Every knob resolved from the environment (PPM_THREADS,
-     * PPM_INTRA_THREADS, PPM_VERIFY, PPM_FUSED, PPM_SAMPLE), with the
+     * PPM_INTRA_THREADS, PPM_VERIFY, PPM_SAMPLE), with the
      * documented defaults for unset variables. The single resolution
      * path shared by the engine constructor, the CLI, the serve
      * daemon, and tests — a malformed value throws EnvError naming
@@ -326,8 +323,8 @@ class ExperimentEngine
 
     /**
      * Admit one request into the pending queue and return its handle.
-     * Workers claim continuously; the request may coalesce into a
-     * fused pass with other pending requests sharing its CaptureKey.
+     * Workers claim continuously; the request may coalesce into one
+     * pass with other pending requests sharing its CaptureKey.
      */
     RequestHandle submit(ExperimentRequest request);
 
@@ -369,7 +366,6 @@ class ExperimentEngine
     unsigned threads() const { return threads_; }
     unsigned intraThreads() const { return intraThreads_; }
     bool verifyEnabled() const { return verify_; }
-    bool fusedEnabled() const { return fused_; }
 
     const SampleOptions &sampleOptions() const { return sample_; }
 
@@ -407,28 +403,17 @@ class ExperimentEngine
     friend class RequestHandle;
     using StatePtr = std::shared_ptr<detail::RequestState>;
 
-    ExperimentOutcome runJob(const ExperimentJob &job);
-
-    /** Get-or-run the pass-1 profile for @p job's CaptureKey. */
-    RunCache::CaptureRef captureFor(const ExperimentJob &job);
-
     /**
-     * Run a coalesced group of jobs — same CaptureKey, different
-     * predictor configs — through one FusedAnalysisSink pass.
-     * Outcomes are returned in @p group order.
+     * Run one claimed group — same CaptureKey, any number of
+     * predictor configs — as one pass. Its stream comes from the
+     * full path (the cached pass-1 profile, then analyzeLanes over a
+     * re-simulation) or, under samplingEnabled() with no verifying
+     * lane, from the
+     * phase-sampled scheduler (runSampledAnalysis: no RunCache entry,
+     * representatives only). Outcomes are returned in @p group order.
      */
     std::vector<ExperimentOutcome>
-    runFusedJobs(const std::vector<const ExperimentJob *> &group);
-
-    /**
-     * Run a claimed group through the phase-sampled scheduler
-     * (samplingEnabled()): no RunCache entry — the profiling pass
-     * streams straight into checkpoints and interval signatures and
-     * the measurement pass analyzes representatives only. Outcomes
-     * are returned in @p group order.
-     */
-    std::vector<ExperimentOutcome>
-    runSampledJobs(const std::vector<const ExperimentJob *> &group);
+    runGroup(const std::vector<StatePtr> &group);
 
     /** Enqueue one request; queueMutex_ must be held. */
     StatePtr enqueueLocked(ExperimentJob job, bool recordHistory);
@@ -437,9 +422,9 @@ class ExperimentEngine
     void ensureWorkersLocked();
 
     /**
-     * Pop the front request plus — in fused mode — every other
-     * pending request sharing its CaptureKey (the coalescing
-     * window); queueMutex_ must be held.
+     * Pop the front request plus every other pending request sharing
+     * its CaptureKey (the coalescing window); queueMutex_ must be
+     * held.
      */
     std::vector<StatePtr> claimLocked();
 
@@ -457,7 +442,6 @@ class ExperimentEngine
     unsigned threads_ = 1;
     unsigned intraThreads_ = 1;
     bool verify_ = false;
-    bool fused_ = true;
     bool reportAtExit_ = false;
     SampleOptions sample_{};
 

@@ -1,20 +1,24 @@
 /**
  * @file
- * Fused sweep sink: one trace pass drives every predictor cell.
+ * Pass 2: one stream feeds every predictor lane.
  *
- * A figure sweep is a matrix of (workload, predictor) cells whose
- * rows share the identical deterministic instruction stream — only
- * the predictor configuration differs. FusedAnalysisSink multiplexes
- * that stream across N independent DpgAnalyzer lanes so the stream is
- * simulated exactly once per row instead of once per cell. Each
- * 256-instruction block is staged once and dispatched to every lane
- * in submission order; each lane's own onBlock decides whether to run
- * its prefetch pipeline.
+ * analyzeLanes() is the one pass-2 entry point — the engine, the
+ * serve daemon's trace requests, `ppm import`, `ppm analyze
+ * --trace-file` and `ppm converge` all call it. It runs a stream
+ * producer (Machine::run, replayImported or replayTrace) once for
+ * every lane config and picks the sink from the lane count: one lane
+ * feeds its DpgAnalyzer directly (or the intra-run pipeline, with
+ * PPM_INTRA_THREADS > 1 and no verify); two or more go through
+ * FusedAnalysisSink.
  *
- * Lanes are fully independent — separate PredictorBank, value tables,
+ * FusedAnalysisSink multiplexes the stream across N independent
+ * DpgAnalyzer lanes: each 256-instruction block is staged once and
+ * dispatched to every lane in submission order; each lane's own
+ * onBlock decides whether to run its prefetch pipeline. Lanes are
+ * fully independent — separate PredictorBank, value tables,
  * pending-arc arenas, influence scratch — so interleaving blocks
  * between lanes on one thread cannot perturb any lane's output; every
- * cell stays byte-identical to the sequential path (pinned by
+ * cell stays byte-identical to the serial runModel() path (pinned by
  * tests/test_fused.cc and the golden and cross-path suites).
  *
  * With dispatchThreads > 1 (the engine passes PPM_INTRA_THREADS) and
@@ -34,6 +38,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -66,8 +71,6 @@ class FusedAnalysisSink : public TraceSink
     std::size_t addLane(std::unique_ptr<DpgAnalyzer> analyzer);
 
     std::size_t laneCount() const { return lanes_.size(); }
-
-    DpgAnalyzer &lane(std::size_t i) { return *lanes_[i].analyzer; }
 
     /**
      * Wall seconds spent inside lane @p i's onBlock/onRunEnd calls —
@@ -147,6 +150,38 @@ class FusedAnalysisSink : public TraceSink
     /** Warm-up mode flag; workers read it under m_ per generation. */
     bool warmup_ = false;
 };
+
+/** Everything one pass-2 run produces, one entry per lane. */
+struct LaneResults
+{
+    /** Finalized statistics, in lane-config order. */
+    std::vector<DpgStats> stats;
+
+    /**
+     * Each lane's own analyze seconds, finalization included. A
+     * 1-lane pass has no shared stage: its lane is the whole pass.
+     */
+    std::vector<double> laneSeconds;
+
+    /**
+     * Wall seconds of the whole pass: stream production plus every
+     * lane. passSec minus the lane sum is the shared stream cost.
+     */
+    double passSec = 0.0;
+};
+
+/**
+ * Run pass 2 of @p prog over one stream for every config in
+ * @p lanes, against the pass-1 @p profile. @p produce must feed the
+ * whole stream into the sink it is given and end the run (onRunEnd);
+ * it is called exactly once. @p intraThreads > 1 pipelines a
+ * non-verifying single lane (IntraRunPipeline) or dispatches
+ * multiple lanes in parallel; output is byte-identical either way.
+ */
+LaneResults
+analyzeLanes(const Program &prog, const ExecProfile &profile,
+             const std::vector<DpgConfig> &lanes, unsigned intraThreads,
+             const std::function<void(TraceSink &)> &produce);
 
 } // namespace ppm
 

@@ -48,30 +48,22 @@ accumulate(const std::vector<ExperimentEngine::TimedRun> &runs)
             ++t.simulations;
             t.simulateSec += run.timing.simulateSec;
         }
-        // Sampled-pass shared stages (checkpoint capture, pass-B
-        // fast-forward) follow the lane-0 attribution discipline, so
-        // summing over runs counts each group cost exactly once.
+        // Shared stages of a pass (stream dispatch, checkpoint
+        // capture, pass-B fast-forward) are attributed to lane 0
+        // only, so summing over runs counts each group cost exactly
+        // once even though all lanes carry the fused flag.
+        t.dispatchSec += run.timing.dispatchSec;
+        t.checkpointSec += run.timing.checkpointSec;
+        t.fastForwardSec += run.timing.fastForwardSec;
         if (run.timing.sampled) {
             ++t.sampledRuns;
-            t.checkpointSec += run.timing.checkpointSec;
-            t.fastForwardSec += run.timing.fastForwardSec;
-            if (!run.timing.fused || run.timing.laneIndex == 0)
+            if (run.timing.laneIndex == 0)
                 t.sampledInstrs += run.timing.sampledInstrs;
-            // A single-cell sampled pass still has a dispatch stage
-            // (pass-B stream production); the fused branch below only
-            // picks it up for multi-lane groups.
-            if (!run.timing.fused)
-                t.dispatchSec += run.timing.dispatchSec;
         }
-        // Shared stages of a fused pass are attributed to lane 0
-        // only, so every per-group cost is counted exactly once even
-        // though all lanes carry the fused flag.
         if (run.timing.fused) {
             t.fusedLanes += 1;
-            if (run.timing.laneIndex == 0) {
+            if (run.timing.laneIndex == 0)
                 ++t.fusedGroups;
-                t.dispatchSec += run.timing.dispatchSec;
-            }
         }
     }
     return t;

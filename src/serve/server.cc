@@ -15,7 +15,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "dpg/dpg_analyzer.hh"
+#include "runner/fused_sink.hh"
 #include "runner/trace_import.hh"
 #include "sim/profiler.hh"
 #include "verify/families.hh"
@@ -532,38 +532,32 @@ Server::handleTrace(const ServeRequest &req)
 
     // Same two-pass discipline as `ppm import`, run on the
     // connection thread: imported streams replay from the parsed
-    // request and do not go through the engine.
+    // request and do not go through the engine. Pass 2 replays the
+    // trace once for every requested predictor.
     const auto t0 = Clock::now();
     ExecProfile profile(trace.program.textSize());
     replayImported(trace, profile);
     const double pass1Sec = secondsSince(t0);
 
-    std::vector<PredictorKind> kinds;
-    if (req.predictor) {
-        kinds.push_back(*req.predictor);
-    } else {
-        kinds.assign(std::begin(kAllPredictorKinds),
-                     std::end(kAllPredictorKinds));
-    }
+    std::vector<DpgConfig> configs(
+        req.predictor ? 1 : std::size(kAllPredictorKinds));
+    for (std::size_t i = 0; i < configs.size(); ++i)
+        configs[i].kind =
+            req.predictor ? *req.predictor : kAllPredictorKinds[i];
 
-    const auto t1 = Clock::now();
-    std::vector<DpgStats> runs;
-    runs.reserve(kinds.size());
-    for (PredictorKind kind : kinds) {
-        DpgConfig cfg;
-        cfg.kind = kind;
-        DpgAnalyzer analyzer(trace.program, profile, cfg);
-        replayImported(trace, analyzer);
-        runs.push_back(analyzer.takeStats());
-    }
+    const LaneResults pass = analyzeLanes(
+        trace.program, profile, configs, engine_.intraThreads(),
+        [&](TraceSink &sink) { replayImported(trace, sink); });
 
     ResponseTiming timing;
     timing.simulateSec = pass1Sec;
-    timing.analyzeSec = secondsSince(t1);
+    timing.analyzeSec = pass.passSec;
     timing.dynInstrs = trace.stream.size();
+    timing.fused = configs.size() > 1;
     return okResponse(
         req.id,
-        verify::fingerprintJson("trace:" + name, 0, runs), timing);
+        verify::fingerprintJson("trace:" + name, 0, pass.stats),
+        timing);
 }
 
 std::string

@@ -7,7 +7,7 @@
 namespace ppm {
 
 CliArgs::CliArgs(int argc, const char *const *argv,
-                 std::initializer_list<std::string> value_options)
+                 const std::vector<std::string> &value_options)
 {
     auto takes_value = [&](const std::string &name) {
         for (const auto &v : value_options) {
@@ -43,10 +43,8 @@ const CliArgs::Opt *
 CliArgs::find(const std::string &name) const
 {
     for (const auto &opt : options_) {
-        if (opt.name == name) {
-            opt.consumed = true;
+        if (opt.name == name)
             return &opt;
-        }
     }
     return nullptr;
 }
@@ -86,13 +84,11 @@ CliArgs::intOption(const std::string &name) const
 }
 
 std::vector<std::string>
-CliArgs::unconsumedOptions() const
+CliArgs::optionNames() const
 {
     std::vector<std::string> out;
-    for (const auto &opt : options_) {
-        if (!opt.consumed)
-            out.push_back(opt.name);
-    }
+    for (const auto &opt : options_)
+        out.push_back(opt.name);
     return out;
 }
 

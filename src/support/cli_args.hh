@@ -11,7 +11,6 @@
 #define PPM_SUPPORT_CLI_ARGS_HH
 
 #include <cstdint>
-#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,7 +27,7 @@ class CliArgs
      * listed are flags unless written as `--name=value`.
      */
     CliArgs(int argc, const char *const *argv,
-            std::initializer_list<std::string> value_options = {});
+            const std::vector<std::string> &value_options = {});
 
     /** Positional arguments, in order. */
     const std::vector<std::string> &positionals() const
@@ -46,15 +45,14 @@ class CliArgs
     std::optional<std::int64_t>
     intOption(const std::string &name) const;
 
-    /** Option names that were never queried (typo detection). */
-    std::vector<std::string> unconsumedOptions() const;
+    /** Every option name given, in argv order. */
+    std::vector<std::string> optionNames() const;
 
   private:
     struct Opt
     {
         std::string name;
         std::optional<std::string> value;
-        mutable bool consumed = false;
     };
 
     const Opt *find(const std::string &name) const;

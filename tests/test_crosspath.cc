@@ -1,9 +1,10 @@
 /**
  * @file
- * Cross-path differential test: the serial two-pass reference, the
- * single-thread engine, the multi-thread profile-sharing engine, and
- * the fused single-pass sweep engine (one stream pass driving every
- * predictor lane) must all produce byte-identical figure CSV text for
+ * Cross-path differential test: the serial two-pass reference and the
+ * engine in every pass-2 sink shape — 1-lane groups (serial analyzer
+ * or intra-run pipeline) and 3-lane groups (one stream pass driving
+ * every predictor lane, serial or parallel dispatch), on one and four
+ * workers — must all produce byte-identical figure CSV text for
  * every workload. Any scheduling, profile-sharing, or
  * lane-multiplexing divergence shows up as a text diff.
  */
@@ -75,13 +76,16 @@ serialCsv()
     return out.str();
 }
 
-/** Paths (b)-(i): the engine — sequential, fused, intra. */
+/**
+ * Paths (b)-(i): the engine. With @p oneLane every cell is submitted
+ * in a run() of its own, so each group is a single lane; otherwise
+ * each workload's three predictors coalesce into one 3-lane group.
+ */
 std::string
-engineCsv(unsigned threads, bool fused, unsigned intraThreads = 1)
+engineCsv(unsigned threads, bool oneLane, unsigned intraThreads = 1)
 {
     EngineOptions opts;
     opts.threads = threads;
-    opts.fused = fused;
     opts.intraThreads = intraThreads;
     ExperimentEngine engine(opts);
 
@@ -91,13 +95,22 @@ engineCsv(unsigned threads, bool fused, unsigned intraThreads = 1)
     const std::vector<PredictorKind> kinds(
         std::begin(kAllPredictorKinds), std::end(kAllPredictorKinds));
     const auto jobs = engine.workloadMatrix(all, kinds, base);
-    const auto outcomes = engine.run(jobs);
+
+    std::vector<ExperimentOutcome> outcomes;
+    if (oneLane) {
+        for (const ExperimentJob &job : jobs)
+            outcomes.push_back(std::move(engine.run({job}).front()));
+    } else {
+        outcomes = engine.run(jobs);
+    }
 
     std::ostringstream out;
     out << csvHeader();
     std::size_t i = 0;
     for (const Workload &w : all) {
         for (PredictorKind kind : kinds) {
+            EXPECT_EQ(outcomes[i].timing.fused, !oneLane)
+                << w.name << " ran in the wrong group shape";
             appendCsvRow(out, w.name, kind, outcomes[i].stats);
             ++i;
         }
@@ -108,39 +121,39 @@ engineCsv(unsigned threads, bool fused, unsigned intraThreads = 1)
 TEST(CrossPath, AllPathsProduceByteIdenticalFigureCsv)
 {
     const std::string serial = serialCsv();
-    const std::string seq1 = engineCsv(/*threads=*/1, false);
-    const std::string seq4 = engineCsv(/*threads=*/4, false);
-    const std::string fused1 = engineCsv(/*threads=*/1, true);
-    const std::string fused4 = engineCsv(/*threads=*/4, true);
+    const std::string lane1 = engineCsv(/*threads=*/1, true);
+    const std::string lane4 = engineCsv(/*threads=*/4, true);
+    const std::string fused1 = engineCsv(/*threads=*/1, false);
+    const std::string fused4 = engineCsv(/*threads=*/4, false);
 
     // Sanity: one header plus 12 workloads x 3 predictors of rows.
     const auto rows = static_cast<std::size_t>(
         std::count(serial.begin(), serial.end(), '\n'));
     EXPECT_EQ(rows, 1 + allWorkloads().size() * 3);
 
-    EXPECT_EQ(serial, seq1)
-        << "serial two-pass vs single-thread engine diverged";
-    EXPECT_EQ(serial, seq4)
-        << "serial two-pass vs 4-thread profile-sharing engine diverged";
+    EXPECT_EQ(serial, lane1)
+        << "serial two-pass vs single-thread 1-lane groups diverged";
+    EXPECT_EQ(serial, lane4)
+        << "serial two-pass vs 4-thread 1-lane groups diverged";
     EXPECT_EQ(serial, fused1)
-        << "serial two-pass vs single-thread fused sweep diverged";
+        << "serial two-pass vs single-thread 3-lane groups diverged";
     EXPECT_EQ(serial, fused4)
-        << "serial two-pass vs 4-thread fused sweep diverged";
+        << "serial two-pass vs 4-thread 3-lane groups diverged";
 }
 
 TEST(CrossPath, IntraRunPipelineProducesByteIdenticalFigureCsv)
 {
-    // PPM_INTRA_THREADS ∈ {1, 2, 4, 8} over both the per-cell path
-    // (fused off: every run goes through the intra-run pipeline) and
-    // the fused path (multi-lane groups dispatch lanes in parallel).
+    // PPM_INTRA_THREADS ∈ {1, 2, 4, 8} over 1-lane groups (every run
+    // above 1 thread goes through the intra-run pipeline) and 3-lane
+    // groups (lanes dispatched in parallel).
     const std::string serial = serialCsv();
     for (unsigned intra : {1u, 2u, 4u, 8u}) {
-        EXPECT_EQ(serial, engineCsv(1, /*fused=*/false, intra))
+        EXPECT_EQ(serial, engineCsv(1, /*oneLane=*/true, intra))
             << "intra-run pipeline diverged at " << intra
             << " threads";
     }
-    EXPECT_EQ(serial, engineCsv(1, /*fused=*/true, 4))
-        << "fused sweep with parallel lane dispatch diverged";
+    EXPECT_EQ(serial, engineCsv(1, /*oneLane=*/false, 4))
+        << "3-lane groups with parallel lane dispatch diverged";
 }
 
 } // namespace

@@ -182,7 +182,6 @@ TEST(EngineApi, CoalescedFollowerReportsOwnQueueInterval)
     // shorter queueSec.
     EngineOptions opts;
     opts.threads = 1;
-    opts.fused = true;
     ExperimentEngine engine(opts);
     const Workload &w = findWorkload("compress");
 
@@ -289,25 +288,18 @@ TEST(EngineApi, ConcurrentSubmittersDedupThroughRunCache)
 TEST(EngineApi, FromEnvResolvesKnobsAndShieldsExplicitFields)
 {
     unsetenv("PPM_THREADS");
-    unsetenv("PPM_FUSED");
     ASSERT_EQ(setenv("PPM_THREADS", "3", 1), 0);
-    ASSERT_EQ(setenv("PPM_FUSED", "0", 1), 0);
     const EngineOptions resolved = EngineOptions::fromEnv();
     EXPECT_EQ(resolved.threads, 3u);
-    ASSERT_TRUE(resolved.fused.has_value());
-    EXPECT_FALSE(*resolved.fused);
 
     // An explicit field wins and its variable is not even parsed.
     ASSERT_EQ(setenv("PPM_THREADS", "garbage", 1), 0);
     EngineOptions explicitThreads;
     explicitThreads.threads = 2;
-    explicitThreads.fused = true;
     const EngineOptions shielded =
         explicitThreads.withEnvFallback();
     EXPECT_EQ(shielded.threads, 2u);
-    EXPECT_TRUE(*shielded.fused);
 
-    unsetenv("PPM_FUSED");
     unsetenv("PPM_THREADS");
 }
 

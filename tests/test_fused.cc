@@ -1,11 +1,12 @@
 /**
  * @file
- * Fused-sweep tests: N predictor cells sharing one (program, input,
+ * Lane-group tests: N predictor cells sharing one (program, input,
  * budget) key run as lanes of a single pass (runner/fused_sink.hh)
- * and must stay byte-identical to the sequential per-cell path. Also
- * pins the coalescing rules — different budgets never coalesce, a
- * RunCache hit on the group's key skips no lane — and the stage-timing
- * attribution (shared stream cost counted once, on lane 0).
+ * and must stay byte-identical to the serial two-pass runModel()
+ * path, whichever sink analyzeLanes() picks. Also pins the coalescing
+ * rules — different budgets never coalesce, a RunCache hit on the
+ * group's key skips no lane — and the stage-timing attribution
+ * (shared stream cost counted once, on lane 0).
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +26,6 @@
 #include "runner/run_cache.hh"
 #include "runner/stage_report.hh"
 #include "sim/machine.hh"
-#include "support/env.hh"
 #include "workloads/workload.hh"
 
 namespace ppm {
@@ -168,40 +168,35 @@ TEST(FusedSink, ReplayFeedsEveryLaneBlockwise)
     }
 }
 
-// End to end: a fused engine and a sequential engine over the same
-// matrix produce identical per-cell statistics, and the fused
-// outcomes carry lane attribution.
+// End to end: the engine's lane groups produce the serial reference
+// statistics per cell, and the outcomes carry lane attribution.
 TEST(FusedEngine, MatchesSequentialPerCell)
 {
     const std::vector<const char *> names = {"compress", "li",
                                              "m88ksim"};
 
-    auto runWith = [&](bool fused) {
-        EngineOptions opts;
-        opts.threads = 2;
-        opts.fused = fused;
-        ExperimentEngine engine(opts);
-        std::vector<ExperimentJob> jobs;
-        for (const char *name : names)
-            for (PredictorKind kind : allKinds())
-                jobs.push_back(engine.makeJob(
-                    findWorkload(name), cellConfig(kind)));
-        return engine.run(jobs);
-    };
+    EngineOptions opts;
+    opts.threads = 2;
+    ExperimentEngine engine(opts);
+    std::vector<ExperimentJob> jobs;
+    for (const char *name : names)
+        for (PredictorKind kind : allKinds())
+            jobs.push_back(
+                engine.makeJob(findWorkload(name), cellConfig(kind)));
+    const auto outcomes = engine.run(jobs);
+    ASSERT_EQ(outcomes.size(), names.size() * allKinds().size());
 
-    const auto fused = runWith(true);
-    const auto sequential = runWith(false);
-    ASSERT_EQ(fused.size(), sequential.size());
-
-    for (std::size_t i = 0; i < fused.size(); ++i) {
-        EXPECT_EQ(fingerprint(fused[i].stats),
-                  fingerprint(sequential[i].stats))
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        const PredictorKind kind = allKinds()[i % allKinds().size()];
+        EXPECT_EQ(fingerprint(outcomes[i].stats),
+                  fingerprint(referenceStats(
+                      findWorkload(names[i / allKinds().size()]),
+                      cellConfig(kind))))
             << "cell " << i;
-        EXPECT_TRUE(fused[i].timing.fused) << "cell " << i;
-        EXPECT_FALSE(sequential[i].timing.fused) << "cell " << i;
-        EXPECT_EQ(fused[i].timing.fusedLanes, allKinds().size())
+        EXPECT_TRUE(outcomes[i].timing.fused) << "cell " << i;
+        EXPECT_EQ(outcomes[i].timing.fusedLanes, allKinds().size())
             << "cell " << i;
-        EXPECT_EQ(fused[i].timing.laneIndex, i % allKinds().size())
+        EXPECT_EQ(outcomes[i].timing.laneIndex, i % allKinds().size())
             << "cell " << i;
     }
 }
@@ -213,7 +208,6 @@ TEST(FusedEngine, DifferentBudgetsDoNotCoalesce)
 {
     EngineOptions opts;
     opts.threads = 1;
-    opts.fused = true;
     ExperimentEngine engine(opts);
 
     const Workload &w = findWorkload("compress");
@@ -230,6 +224,8 @@ TEST(FusedEngine, DifferentBudgetsDoNotCoalesce)
         EXPECT_FALSE(outcomes[i].timing.fused) << "cell " << i;
         EXPECT_FALSE(outcomes[i].timing.captureShared)
             << "cell " << i;
+        // A 1-lane group has no shared stage: its lane is the pass.
+        EXPECT_EQ(outcomes[i].timing.dispatchSec, 0.0) << "cell " << i;
         EXPECT_LE(outcomes[i].stats.dynInstrs, budgets[i])
             << "cell " << i;
         EXPECT_EQ(
@@ -250,7 +246,6 @@ TEST(FusedEngine, MixedBudgetsSplitIntoCorrectGroups)
 {
     EngineOptions opts;
     opts.threads = 1;
-    opts.fused = true;
     ExperimentEngine engine(opts);
 
     const Workload &w = findWorkload("li");
@@ -292,7 +287,6 @@ TEST(FusedEngine, RunCacheHitSkipsNoLane)
 {
     EngineOptions opts;
     opts.threads = 1;
-    opts.fused = true;
     ExperimentEngine engine(opts);
 
     const Workload &w = findWorkload("compress");
@@ -337,7 +331,6 @@ TEST(FusedEngine, SharedStageTimingCountedOnce)
 {
     EngineOptions opts;
     opts.threads = 1;
-    opts.fused = true;
     ExperimentEngine engine(opts);
 
     engine.run(engine.workloadMatrix({findWorkload("compress")},
@@ -366,30 +359,6 @@ TEST(FusedEngine, SharedStageTimingCountedOnce)
     // One pass-1 simulation for the whole group, not one per lane.
     EXPECT_NE(doc.find("\"simulations\":1"), std::string::npos);
     EXPECT_NE(doc.find("\"fused\":true"), std::string::npos);
-}
-
-// PPM_FUSED env knob: respected at engine construction, malformed
-// values fail loudly like every other engine knob.
-TEST(FusedEngine, EnvKnobControlsDefault)
-{
-    setenv("PPM_FUSED", "0", 1);
-    {
-        ExperimentEngine engine{EngineOptions{.threads = 1}};
-        EXPECT_FALSE(engine.fusedEnabled());
-    }
-    setenv("PPM_FUSED", "1", 1);
-    {
-        ExperimentEngine engine{EngineOptions{.threads = 1}};
-        EXPECT_TRUE(engine.fusedEnabled());
-    }
-    setenv("PPM_FUSED", "maybe", 1);
-    EXPECT_THROW(ExperimentEngine{EngineOptions{.threads = 1}},
-                 EnvError);
-    unsetenv("PPM_FUSED");
-    {
-        ExperimentEngine engine{EngineOptions{.threads = 1}};
-        EXPECT_TRUE(engine.fusedEnabled());
-    }
 }
 
 } // namespace

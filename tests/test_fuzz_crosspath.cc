@@ -2,9 +2,9 @@
  * @file
  * Cross-path fingerprint parity: the canonical fingerprint JSON of a
  * sampled set of fuzz-farm programs must be byte-identical whether
- * the stats come from the serial two-pass reference, the
- * single-thread engine, the 4-thread profile-sharing engine, or the
- * fused single-pass sweep. This is the corpus-level
+ * the stats come from the serial two-pass reference or the engine
+ * running each predictor as a 1-lane group (on one or four workers)
+ * or all three as one 3-lane pass. This is the corpus-level
  * analog of test_crosspath.cc: if any execution path perturbs a
  * single counter, the fingerprint string diffs.
  */
@@ -57,10 +57,14 @@ serialFingerprint(const char *familyName, std::uint64_t seed)
         std::string("family:") + familyName, seed, runs);
 }
 
-/** Paths (b)-(d): the engine, sequential or fused. */
+/**
+ * Paths (b)-(d): the engine. @p oneLane submits one predictor per
+ * run(), so every group is a single lane; otherwise the three
+ * predictors coalesce into one 3-lane group.
+ */
 std::string
 engineFingerprint(const char *familyName, std::uint64_t seed,
-                  unsigned threads, bool fused)
+                  unsigned threads, bool oneLane)
 {
     const auto &family = verify::findFamily(familyName);
     auto program = std::make_shared<const Program>(
@@ -69,7 +73,6 @@ engineFingerprint(const char *familyName, std::uint64_t seed,
 
     EngineOptions opts;
     opts.threads = threads;
-    opts.fused = fused;
     ExperimentEngine engine(opts);
 
     std::vector<ExperimentJob> jobs;
@@ -81,9 +84,18 @@ engineFingerprint(const char *familyName, std::uint64_t seed,
         job.config.dpg.kind = kind;
         jobs.push_back(std::move(job));
     }
+    std::vector<ExperimentOutcome> outcomes;
+    if (oneLane) {
+        for (const ExperimentJob &job : jobs)
+            outcomes.push_back(std::move(engine.run({job}).front()));
+    } else {
+        outcomes = engine.run(jobs);
+    }
     std::vector<DpgStats> runs;
-    for (auto &outcome : engine.run(jobs))
+    for (auto &outcome : outcomes) {
+        EXPECT_EQ(outcome.timing.fused, !oneLane);
         runs.push_back(std::move(outcome.stats));
+    }
     return verify::fingerprintJson(
         std::string("family:") + familyName, seed, runs);
 }
@@ -96,14 +108,14 @@ TEST(FuzzCrossPath, FingerprintsByteIdenticalAcrossPaths)
         const std::string serial =
             serialFingerprint(familyName, seed);
         EXPECT_EQ(serial,
-                  engineFingerprint(familyName, seed, 1, false))
-            << "serial vs single-thread engine diverged";
-        EXPECT_EQ(serial,
-                  engineFingerprint(familyName, seed, 4, false))
-            << "serial vs 4-thread engine diverged";
+                  engineFingerprint(familyName, seed, 1, true))
+            << "serial vs single-thread 1-lane groups diverged";
         EXPECT_EQ(serial,
                   engineFingerprint(familyName, seed, 4, true))
-            << "serial vs 4-thread fused sweep diverged";
+            << "serial vs 4-thread 1-lane groups diverged";
+        EXPECT_EQ(serial,
+                  engineFingerprint(familyName, seed, 4, false))
+            << "serial vs 4-thread 3-lane group diverged";
     }
 }
 

@@ -2,8 +2,8 @@
  * @file
  * Intra-run pipeline tests: PPM_INTRA_THREADS ∈ {2, 4, 8} must agree
  * byte-for-byte with the serial analyzer on every predictor kind —
- * through the engine's single-cell path and the fused multi-lane
- * pass — including zero-instruction budgets and
+ * through the engine's 1-lane groups (one cell per run()) and a
+ * multi-lane pass — including zero-instruction budgets and
  * runs whose final block is partial. Differential verification must
  * keep the serial analyzer (and the pipeline must reject a verify
  * config outright).
@@ -59,7 +59,6 @@ serialFingerprint(const Workload &w, const ExperimentConfig &config)
     EngineOptions opts;
     opts.threads = 1;
     opts.intraThreads = 1;
-    opts.fused = false;
     ExperimentEngine engine(opts);
     auto outs = engine.run({engine.makeJob(w, config)});
     return fingerprint(outs.at(0).stats);
@@ -75,7 +74,6 @@ TEST(IntraRun, ByteIdenticalAcrossThreadCounts)
             EngineOptions opts;
             opts.threads = 1;
             opts.intraThreads = t;
-            opts.fused = false;
             ExperimentEngine engine(opts);
             auto outs =
                 engine.run({engine.makeJob(w, cellConfig(kind))});
@@ -98,7 +96,6 @@ TEST(IntraRun, ByteIdenticalOnResimulationFallback)
     EngineOptions opts;
     opts.threads = 1;
     opts.intraThreads = 4;
-    opts.fused = false;
     ExperimentEngine engine(opts);
     auto outs = engine.run({engine.makeJob(w, config)});
     EXPECT_EQ(fingerprint(outs.at(0).stats), serial);
@@ -108,12 +105,11 @@ TEST(IntraRun, FusedLanesByteIdenticalUnderParallelDispatch)
 {
     // A coalesced multi-lane pass with intraThreads > 1 dispatches
     // lanes on the sink's worker pool; every lane must still match
-    // the serial per-cell result.
+    // the serial 1-lane result.
     const Workload &w = findWorkload("li");
     EngineOptions opts;
     opts.threads = 1;
     opts.intraThreads = 4;
-    opts.fused = true;
     ExperimentEngine engine(opts);
 
     std::vector<ExperimentJob> jobs;
@@ -143,7 +139,6 @@ TEST(IntraRun, EdgeBudgetsCompleteAndMatchSerial)
         EngineOptions opts;
         opts.threads = 1;
         opts.intraThreads = 4;
-        opts.fused = false;
         ExperimentEngine engine(opts);
         auto outs = engine.run({engine.makeJob(w, config)});
         EXPECT_EQ(fingerprint(outs.at(0).stats), serial)
@@ -165,7 +160,6 @@ TEST(IntraRun, VerifyKeepsSerialAnalyzer)
     EngineOptions opts;
     opts.threads = 1;
     opts.intraThreads = 4;
-    opts.fused = false;
     opts.verify = true;
     ExperimentEngine engine(opts);
     auto outs = engine.run({engine.makeJob(w, config)});

@@ -98,10 +98,6 @@ TEST(ExperimentEngine, CaptureSharedAcrossPredictorConfigs)
 {
     EngineOptions opts;
     opts.threads = 1;  // Serialize so hit accounting is exact.
-    // Sequential scheduling: this test pins the per-cell cache hit
-    // accounting. The fused path's one-lookup-per-group accounting is
-    // pinned in tests/test_fused.cc.
-    opts.fused = false;
     ExperimentEngine engine(opts);
 
     const auto outcomes = engine.run(engine.workloadMatrix(
@@ -110,14 +106,19 @@ TEST(ExperimentEngine, CaptureSharedAcrossPredictorConfigs)
          PredictorKind::Context},
         cellConfig(PredictorKind::Context)));
 
+    // The three cells coalesce into one 3-lane group: lane 0 runs
+    // pass 1, lanes 1..2 share it, and the group looks its key up
+    // once.
     ASSERT_EQ(outcomes.size(), 3u);
     EXPECT_FALSE(outcomes[0].timing.captureShared);
     EXPECT_TRUE(outcomes[1].timing.captureShared);
     EXPECT_TRUE(outcomes[2].timing.captureShared);
+    for (const ExperimentOutcome &out : outcomes)
+        EXPECT_EQ(out.timing.fusedLanes, 3u);
 
     const auto counters = engine.cache().counters();
     EXPECT_EQ(counters.captureMisses, 1u);
-    EXPECT_EQ(counters.captureHits, 2u);
+    EXPECT_EQ(counters.captureHits, 0u);
     // One workload, three cells: assembled exactly once.
     EXPECT_EQ(counters.programMisses, 1u);
     EXPECT_EQ(counters.programHits, 2u);

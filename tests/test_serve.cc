@@ -23,6 +23,7 @@
 #include <unistd.h>
 
 #include "runner/engine.hh"
+#include "runner/trace_import.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
@@ -86,6 +87,15 @@ sampleRecords()
         out += "0x40c T\n";
     }
     return out;
+}
+
+/** A "trace" request over sampleRecords(); @p extra: more members. */
+std::string
+traceRequest(const std::string &id, const std::string &extra = "")
+{
+    return "{\"schema\":\"ppm-serve-v1\",\"kind\":\"trace\",\"id\":\"" +
+           id + "\",\"name\":\"synthetic\",\"records\":\"" +
+           serve::jsonEscape(sampleRecords()) + "\"" + extra + "}";
 }
 
 TEST(ServeProtocol, ValidatesRequests)
@@ -207,6 +217,32 @@ TEST(ServeDaemon, ServedFingerprintIsByteIdenticalToBatchPath)
               std::string::npos)
         << "served fingerprint differs from the batch path";
 
+    // An imported trace, all three predictors: the daemon analyzes it
+    // in one pass, the reference replays it once per predictor (the
+    // loop of tests/test_fingerprint.cc).
+    std::istringstream in(sampleRecords());
+    const ImportedTrace trace = parseBranchTrace(in, "synthetic");
+    ExecProfile profile(trace.program.textSize());
+    replayImported(trace, profile);
+    std::vector<DpgStats> traceRuns;
+    for (PredictorKind kind : kAllPredictorKinds) {
+        DpgConfig config;
+        config.kind = kind;
+        DpgAnalyzer analyzer(trace.program, profile, config);
+        replayImported(trace, analyzer);
+        traceRuns.push_back(analyzer.takeStats());
+    }
+    const std::string traceExpected =
+        verify::fingerprintJson("trace:synthetic", 0, traceRuns);
+
+    client.sendLine(traceRequest("r2"));
+    const auto traceResponse = client.recvLine(60'000);
+    ASSERT_TRUE(traceResponse.has_value());
+    EXPECT_EQ(statusOf(*traceResponse), "ok");
+    EXPECT_NE(traceResponse->find("\"fingerprint\":" + traceExpected),
+              std::string::npos)
+        << "served trace fingerprint differs from the reference loop";
+
     server.requestStop();
     server.serveUntilStopped();
 }
@@ -298,7 +334,6 @@ TEST(ServeDaemon, SustainsManyConcurrentClients)
     // workloads (identical cells), fuzz families, and inline branch
     // traces.
     constexpr int kClients = 32;
-    const std::string records = sampleRecords();
     std::mutex mu;
     std::vector<std::string> statuses;
     std::vector<std::thread> threads;
@@ -317,13 +352,8 @@ TEST(ServeDaemon, SustainsManyConcurrentClients)
                     std::to_string(1 + i % 2) +
                     ",\"predictor\":\"context\"}";
             } else {
-                request = "{\"schema\":\"ppm-serve-v1\","
-                          "\"kind\":\"trace\",\"id\":\"c" +
-                          std::to_string(i) +
-                          "\",\"name\":\"synthetic\","
-                          "\"records\":\"" +
-                          serve::jsonEscape(records) +
-                          "\",\"predictor\":\"context\"}";
+                request = traceRequest("c" + std::to_string(i),
+                                       ",\"predictor\":\"context\"");
             }
             std::string status = "no-response";
             try {
@@ -416,11 +446,7 @@ TEST(ServeDaemon, EnforcesPerRequestBudgets)
     EXPECT_NE(over->find("exceeds server cap"), std::string::npos);
 
     // A trace longer than the budget is rejected too.
-    client.sendLine("{\"schema\":\"ppm-serve-v1\","
-                    "\"kind\":\"trace\",\"id\":\"r2\","
-                    "\"records\":\"" +
-                    serve::jsonEscape(sampleRecords()) +
-                    "\",\"max_instrs\":10}");
+    client.sendLine(traceRequest("r2", ",\"max_instrs\":10"));
     const auto overTrace = client.recvLine(60'000);
     ASSERT_TRUE(overTrace.has_value());
     EXPECT_EQ(statusOf(*overTrace), "error");

@@ -14,9 +14,10 @@
  *  - metrics use the "ppm-metrics-v1" schema, every counter is a
  *    non-negative integer, gauges carry value <= max;
  *  - cross-document consistency: span counts for "job"/"analyze"/
- *    "simulate" match the runner.* counters, every job resolved its
- *    capture through the cache, hits never exceed lookups, and table
- *    occupancy never exceeds capacity.
+ *    "simulate" match the runner.* counters, every pass resolved its
+ *    profile through the cache and re-simulated its stream once, hits
+ *    never exceed lookups, and table occupancy never exceeds
+ *    capacity.
  */
 
 #include <cmath>
@@ -215,35 +216,33 @@ checkConsistency(const std::map<std::string, std::uint64_t> &spans,
                           std::to_string(b) + ")");
     };
 
-    // Fused sweeps change the unit of work: N coalesced cells (lanes)
-    // run as one pass, so stream-level spans and counters scale with
-    // passes while jobs_completed still counts cells. A sequential
-    // cell is a pass of its own.
+    // The unit of work is a pass: one lane group of N coalesced
+    // cells (lanes) sharing one stream. jobs_completed counts cells,
+    // fused_groups/fused_lanes count the multi-lane groups, and every
+    // other cell is a 1-lane group, i.e. a pass of its own.
     const std::uint64_t jobs =
         counterOr0(counters, "runner.jobs_completed");
     const std::uint64_t fusedGroups =
         counterOr0(counters, "runner.fused_groups");
     const std::uint64_t fusedLanes =
         counterOr0(counters, "runner.fused_lanes");
-    const std::uint64_t passes = jobs - fusedLanes + fusedGroups;
     check(jobs > 0, "consistency: no jobs recorded");
     check(fusedLanes <= jobs,
           "consistency: fused lanes exceed jobs_completed");
-    expectEq("span(job) + fused lanes == runner.jobs_completed",
-             counterOr0(spans, "job") + fusedLanes, jobs);
-    expectEq("span(fused_job) == runner.fused_groups",
-             counterOr0(spans, "fused_job"), fusedGroups);
-    expectEq("span(analyze) + fused lanes == runner.jobs_completed",
-             counterOr0(spans, "analyze") + fusedLanes, jobs);
+    const std::uint64_t passes = jobs - fusedLanes + fusedGroups;
+    expectEq("span(job) == passes (jobs - fused lanes + groups)",
+             counterOr0(spans, "job"), passes);
+    expectEq("span(analyze) == passes",
+             counterOr0(spans, "analyze"), passes);
     expectEq("span(simulate) == runner.simulations",
              counterOr0(spans, "simulate"),
              counterOr0(counters, "runner.simulations"));
-    expectEq("capture hits + misses == work passes",
+    expectEq("capture hits + misses == passes",
              counterOr0(counters, "cache.capture_hits") +
                  counterOr0(counters, "cache.capture_misses"),
              passes);
-    // Every work pass simulates its analysis stream exactly once.
-    expectEq("runner.resims == work passes",
+    // Every pass simulates its analysis stream exactly once.
+    expectEq("runner.resims == passes",
              counterOr0(counters, "runner.resims"), passes);
 
     for (const char *role : {"output", "input", "branch"}) {

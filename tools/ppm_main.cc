@@ -38,7 +38,8 @@
  * Exit codes (uniform across subcommands):
  *     0  success
  *     1  analysis / verification / request failure
- *     2  usage or environment error (bad flags, malformed PPM_* vars)
+ *     2  usage or environment error (bad or undeclared flags,
+ *        malformed PPM_* vars)
  *
  * Common options:
  *     --max N            dynamic instruction budget (default 4000000)
@@ -56,6 +57,7 @@
  *                        critical, json   (default: overall)
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -186,6 +188,19 @@ parseInputFile(const std::string &path)
     }
     return out;
 }
+
+/** One default-knob DpgConfig per predictor kind, in order. */
+std::vector<DpgConfig>
+configsFor(const std::vector<PredictorKind> &kinds)
+{
+    std::vector<DpgConfig> configs(kinds.size());
+    for (std::size_t i = 0; i < kinds.size(); ++i)
+        configs[i].kind = kinds[i];
+    return configs;
+}
+
+const std::vector<PredictorKind> kAllKinds(std::begin(kAllPredictorKinds),
+                                           std::end(kAllPredictorKinds));
 
 /** Resolve `analyze` target: workload name or assembly file. */
 struct Target
@@ -322,30 +337,28 @@ cmdAnalyze(const CliArgs &args)
 
     std::vector<PredictorKind> kinds;
     if (args.flag("all-predictors")) {
-        kinds.assign(std::begin(kAllPredictorKinds),
-                     std::end(kAllPredictorKinds));
+        kinds = kAllKinds;
     } else {
         kinds.push_back(parsePredictor(
             args.option("predictor").value_or("context")));
     }
 
-    std::vector<RunResult> runs;
+    std::vector<DpgStats> stats;
     if (const auto trace_path = args.option("trace-file")) {
-        // Trace-driven: both passes replay the captured file stream.
-        for (PredictorKind kind : kinds) {
-            config.dpg.kind = kind;
-            ExecProfile profile(t.program.textSize());
-            replayTrace(*trace_path, t.program, profile);
-            DpgAnalyzer analyzer(t.program, profile, config.dpg);
-            replayTrace(*trace_path, t.program, analyzer);
-            RunResult run;
-            run.isFloat = t.isFloat;
-            run.stats = analyzer.takeStats();
-            runs.push_back(std::move(run));
-        }
+        // Trace-driven: pass 1 and pass 2 each replay the captured
+        // file stream once, pass 2 for every predictor at once.
+        ExecProfile profile(t.program.textSize());
+        replayTrace(*trace_path, t.program, profile);
+        stats = analyzeLanes(t.program, profile, configsFor(kinds),
+                             EngineOptions::fromEnv().intraThreads,
+                             [&](TraceSink &sink) {
+                                 replayTrace(*trace_path, t.program,
+                                             sink);
+                             })
+                    .stats;
     } else {
         // Live: the engine profiles once and analyzes every
-        // requested predictor in one fused simulation pass.
+        // requested predictor in one simulation pass.
         // (t.program stays valid for the report printers below.)
         auto program = std::make_shared<const Program>(t.program);
         auto input = std::make_shared<const std::vector<Value>>(
@@ -360,14 +373,12 @@ cmdAnalyze(const CliArgs &args)
             job.isFloat = t.isFloat;
             jobs.push_back(std::move(job));
         }
-        for (auto &outcome :
-             ExperimentEngine::shared().run(jobs)) {
-            RunResult run;
-            run.isFloat = outcome.isFloat;
-            run.stats = std::move(outcome.stats);
-            runs.push_back(std::move(run));
-        }
+        for (auto &outcome : ExperimentEngine::shared().run(jobs))
+            stats.push_back(std::move(outcome.stats));
     }
+    std::vector<RunResult> runs;
+    for (DpgStats &run : stats)
+        runs.push_back(RunResult{std::move(run), t.isFloat});
     const DpgStats &s = runs.front().stats;
 
     const std::string reports =
@@ -591,26 +602,26 @@ cmdImport(const CliArgs &args)
         trace = parseBranchTrace(in, path);
     }
 
-    // Pass 1 over the imported stream, then the model per predictor —
-    // the same two-pass discipline as a simulated program.
+    // Pass 1 over the imported stream, then one pass 2 for every
+    // predictor — the same two-pass discipline as a simulated program.
     ExecProfile profile(trace.program.textSize());
     replayImported(trace, profile);
 
-    std::vector<DpgStats> runs;
-    for (PredictorKind kind : kAllPredictorKinds) {
-        DpgConfig cfg;
-        cfg.kind = kind;
+    std::vector<DpgConfig> configs = configsFor(kAllKinds);
+    for (DpgConfig &cfg : configs)
         cfg.verify = args.flag("verify");
-        DpgAnalyzer analyzer(trace.program, profile, cfg);
-        replayImported(trace, analyzer);
-        DpgStats stats = analyzer.takeStats();
-        const auto violations =
-            verify::InvariantChecker::audit(stats, cfg.trackInfluence);
+    const std::vector<DpgStats> runs =
+        analyzeLanes(trace.program, profile, configs,
+                     EngineOptions::fromEnv().intraThreads,
+                     [&](TraceSink &sink) { replayImported(trace, sink); })
+            .stats;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const auto violations = verify::InvariantChecker::audit(
+            runs[i], configs[i].trackInfluence);
         for (const std::string &v : violations)
             std::cerr << "invariant violation: " << v << "\n";
         if (!violations.empty())
             return 1;
-        runs.push_back(std::move(stats));
     }
 
     const std::string fp =
@@ -658,11 +669,11 @@ cmdConverge(const CliArgs &args)
         usage("converge needs a file or workload name");
     Target t = resolveTarget(args.positionals()[1], args);
 
+    // The pieces are views into budgetList, which must outlive them.
+    const std::string budgetList = args.option("budgets").value_or(
+        "500000,1000000,2000000,4000000");
     std::vector<std::uint64_t> budgets;
-    for (const auto piece : splitAndTrim(
-             args.option("budgets").value_or("500000,1000000,"
-                                             "2000000,4000000"),
-             ',')) {
+    for (const auto piece : splitAndTrim(budgetList, ',')) {
         if (piece.empty())
             continue;
         try {
@@ -694,21 +705,11 @@ cmdConverge(const CliArgs &args)
         }
     }
 
-    std::vector<PredictorKind> kinds;
     const std::string pred =
         args.option("predictor").value_or("all");
-    if (pred == "all") {
-        kinds.assign(std::begin(kAllPredictorKinds),
-                     std::end(kAllPredictorKinds));
-    } else {
-        kinds.push_back(parsePredictor(pred));
-    }
-    std::vector<DpgConfig> configs;
-    for (PredictorKind kind : kinds) {
-        DpgConfig cfg;
-        cfg.kind = kind;
-        configs.push_back(cfg);
-    }
+    const std::vector<DpgConfig> configs = configsFor(
+        pred == "all" ? kAllKinds
+                      : std::vector<PredictorKind>{parsePredictor(pred)});
 
     // Fingerprint accuracy metrics (verify/fingerprint.cc): the
     // output-accuracy share of classified nodes plus the gshare hit
@@ -755,18 +756,13 @@ cmdConverge(const CliArgs &args)
             Machine m(t.program, t.input);
             m.run(&profile, budget);
         }
-        FusedAnalysisSink sink(1);
-        for (const DpgConfig &cfg : configs) {
-            sink.addLane(std::make_unique<DpgAnalyzer>(
-                t.program, profile, cfg));
-        }
-        {
-            Machine m(t.program, t.input);
-            m.run(&sink, budget);
-        }
-        std::vector<DpgStats> full;
-        for (std::size_t i = 0; i < configs.size(); ++i)
-            full.push_back(sink.takeStats(i));
+        const std::vector<DpgStats> full =
+            analyzeLanes(t.program, profile, configs, 1,
+                         [&](TraceSink &sink) {
+                             Machine m(t.program, t.input);
+                             m.run(&sink, budget);
+                         })
+                .stats;
         const double fullSec =
             std::chrono::duration<double>(Clock::now() - f0)
                 .count();
@@ -997,7 +993,7 @@ cmdClient(const CliArgs &args)
 }
 
 int
-cmdVersion()
+cmdVersion(const CliArgs &)
 {
     std::cout << "ppm " << kPpmVersion << "\n";
     for (const char *schema : kPpmSchemas)
@@ -1006,7 +1002,7 @@ cmdVersion()
 }
 
 int
-cmdWorkloads()
+cmdWorkloads(const CliArgs &)
 {
     TablePrinter table("Built-in SPEC95-analog workloads");
     table.addRow({"name", "set", "approx dyn instrs", "input words"});
@@ -1020,54 +1016,92 @@ cmdWorkloads()
     return 0;
 }
 
+/** One subcommand and every option it accepts, declared once. */
+struct Command
+{
+    std::string name;
+    int (*run)(const CliArgs &);
+
+    /** Options written `--name value` or `--name=value`. */
+    std::vector<std::string> valueOptions;
+
+    /** Options written `--name`. */
+    std::vector<std::string> flags;
+};
+
+const std::vector<Command> &
+commands()
+{
+    static const std::vector<Command> table = {
+        {"asm", cmdAsm, {}, {}},
+        {"disasm", cmdDisasm, {}, {}},
+        {"run", cmdRun,
+         {"max", "seed", "input", "input-file", "save-trace"}, {"trace"}},
+        {"analyze", cmdAnalyze,
+         {"max", "predictor", "seed", "input", "input-file", "report",
+          "trace-file"},
+         {"all-predictors"}},
+        {"graph", cmdGraph,
+         {"predictor", "seed", "input", "input-file", "window"}, {}},
+        {"workloads", cmdWorkloads, {}, {}},
+        {"metrics", cmdMetrics,
+         {"max", "predictor", "seed", "input", "input-file"}, {"json"}},
+        {"fuzz", cmdFuzz, {"families", "seeds", "out"},
+         {"list", "slice", "no-verify"}},
+        {"import", cmdImport, {"out"}, {"verify"}},
+        {"converge", cmdConverge,
+         {"budgets", "predictor", "interval", "warmup", "phases",
+          "threshold", "seed", "input", "input-file", "out", "csv"},
+         {}},
+        {"serve", cmdServe,
+         {"socket", "port", "max-inflight", "max", "cap"}, {}},
+        {"client", cmdClient,
+         {"socket", "port", "workload", "family", "trace-file",
+          "predictor", "max", "seed", "id", "count", "json"},
+         {"stats", "ping", "shutdown"}},
+        {"version", cmdVersion, {}, {}},
+    };
+    return table;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    // The command is the first non-option argument; its declaration
+    // decides which options take a value.
+    const Command *command = nullptr;
+    std::string name;
+    for (int i = 1; i < argc && name.empty(); ++i) {
+        if (!startsWith(argv[i], "--"))
+            name = argv[i];
+    }
+    for (const Command &c : commands()) {
+        if (c.name == name)
+            command = &c;
+    }
     const CliArgs args(argc, argv,
-                       {"max", "predictor", "seed", "input",
-                        "input-file", "report", "window",
-                        "save-trace", "trace-file", "families",
-                        "seeds", "out", "socket", "port",
-                        "max-inflight", "cap",
-                        "workload", "family", "json", "id",
-                        "count", "budgets", "interval", "warmup",
-                        "phases", "threshold", "csv"});
+                       command ? command->valueOptions
+                               : std::vector<std::string>{});
     if (args.flag("version"))
-        return cmdVersion();
-    if (args.positionals().empty())
+        return cmdVersion(args);
+    if (name.empty())
         usage();
+    if (!command)
+        usage("unknown command '" + name + "'");
+    // Before any work runs: a mistyped or removed flag must not be
+    // silently ignored (or turn its value into a stray positional).
+    for (const std::string &opt : args.optionNames()) {
+        const bool declared =
+            std::ranges::count(command->valueOptions, opt) != 0 ||
+            std::ranges::count(command->flags, opt) != 0;
+        if (!declared)
+            usage("unknown option --" + opt + " for '" + name + "'");
+    }
 
     try {
-        const std::string &cmd = args.positionals()[0];
-        if (cmd == "asm")
-            return cmdAsm(args);
-        if (cmd == "disasm")
-            return cmdDisasm(args);
-        if (cmd == "run")
-            return cmdRun(args);
-        if (cmd == "analyze")
-            return cmdAnalyze(args);
-        if (cmd == "graph")
-            return cmdGraph(args);
-        if (cmd == "workloads")
-            return cmdWorkloads();
-        if (cmd == "metrics")
-            return cmdMetrics(args);
-        if (cmd == "fuzz")
-            return cmdFuzz(args);
-        if (cmd == "import")
-            return cmdImport(args);
-        if (cmd == "converge")
-            return cmdConverge(args);
-        if (cmd == "serve")
-            return cmdServe(args);
-        if (cmd == "client")
-            return cmdClient(args);
-        if (cmd == "version")
-            return cmdVersion();
-        usage("unknown command '" + cmd + "'");
+        return command->run(args);
     } catch (const EnvError &e) {
         std::cerr << "environment error: " << e.what() << "\n";
         return 2;
